@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet fmt-check lint build test race bench bench-gate profile examples fig sim dist-smoke battery-smoke tcp-smoke scenario-smoke serve-smoke load-smoke
+.PHONY: ci vet fmt-check lint build test race bench bench-gate perfbench-check profile examples fig sim dist-smoke battery-smoke tcp-smoke scenario-smoke serve-smoke load-smoke
 
-ci: vet fmt-check lint build race bench examples ## full tier-1 + lint + race + bench smoke + examples
+ci: vet fmt-check lint build race bench perfbench-check examples ## full tier-1 + lint + race + bench smoke + perfbench + examples
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +31,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench/ is its own Go module (replace dsa => ../), so the root
+# `go build ./...` never compiles it — yet it links against the
+# engine, battery, experiments and serve APIs. Vet and test it here so
+# an API change that breaks the benchmark harness fails CI.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Benchmarks come in two speeds. `bench` is the smoke: one iteration
 # of every benchmark, proving the experiment battery, the catalog
@@ -128,8 +135,10 @@ dist-smoke:
 # (concurrent sweeps share the battery store — no duplicate
 # generations for shared workloads); and a `dsatrace warm`ed cache
 # directory must make the very first battery run against it regenerate
-# nothing. CI's dist-smoke job runs this with BATTERY_SMOKE_DIR set so
-# the outputs can be uploaded as a debugging artifact on failure.
+# nothing. A dsasim machine run is one sweep (its machines are the
+# cells), so it must reject -battery-parallel. CI's dist-smoke job runs
+# this with BATTERY_SMOKE_DIR set so the outputs can be uploaded as a
+# debugging artifact on failure.
 BATTERY_SMOKE_DIR ?=
 battery-smoke:
 	@set -e; \
@@ -150,14 +159,17 @@ battery-smoke:
 	cmp "$$tmp/fig-serial.out" "$$tmp/fig-bp-dist.out"; \
 	grep -q "cells in 2 workers, 0 in-process, 0 crashes" "$$tmp/fig-bp-dist.err"; \
 	"$$tmp/dsasim" -machine all -workload segments > "$$tmp/sim-serial.out"; \
-	"$$tmp/dsasim" -machine all -battery-parallel 4 -workload segments > "$$tmp/sim-bp.out"; \
+	if "$$tmp/dsasim" -machine all -battery-parallel 4 -workload segments > /dev/null 2> "$$tmp/sim-bp-flag.err"; then \
+		echo "battery-smoke: dsasim -machine all accepted -battery-parallel 4"; exit 1; fi; \
+	grep -q "is one sweep" "$$tmp/sim-bp-flag.err"; \
+	"$$tmp/dsasim" -machine all -workload segments > "$$tmp/sim-bp.out"; \
 	cmp "$$tmp/sim-serial.out" "$$tmp/sim-bp.out"; \
-	"$$tmp/dsasim" -machine all -battery-parallel 4 -workers 2 -batch 2 -workload segments \
+	"$$tmp/dsasim" -machine all -workers 2 -batch 2 -workload segments \
 		> "$$tmp/sim-bp-dist.out" 2> "$$tmp/sim-bp-dist.err"; \
 	cmp "$$tmp/sim-serial.out" "$$tmp/sim-bp-dist.out"; \
 	grep -q "7 cells in 2 workers, 0 in-process, 0 crashes" "$$tmp/sim-bp-dist.err"; \
 	"$$tmp/dsatrace" warm -cache-dir "$$tmp/warmcache" -machines -workload segments; \
-	"$$tmp/dsasim" -machine all -battery-parallel 4 -cache-dir "$$tmp/warmcache" -workload segments \
+	"$$tmp/dsasim" -machine all -cache-dir "$$tmp/warmcache" -workload segments \
 		> "$$tmp/sim-warm.out" 2> "$$tmp/sim-warm.err"; \
 	cat "$$tmp/sim-warm.err"; \
 	cmp "$$tmp/sim-serial.out" "$$tmp/sim-warm.out"; \

@@ -317,14 +317,14 @@ func BenchmarkA6SegmentedPaging(b *testing.B) {
 func BenchmarkAllSweep(b *testing.B) {
 	for _, parallel := range []int{1, 8} {
 		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
-			experiments.Configure(parallel, 0)
-			defer experiments.Configure(0, 0)
 			for i := 0; i < b.N; i++ {
-				tables, err := experiments.All()
+				tables := 0
+				err := experiments.StreamConfig(context.Background(), experiments.Config{Parallel: parallel},
+					func(*metrics.Table) { tables++ })
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(tables) == 0 {
+				if tables == 0 {
 					b.Fatal("no tables")
 				}
 			}
@@ -365,7 +365,7 @@ func BenchmarkCellSteadyState(b *testing.B) {
 				return env.RNG.Uint64(), nil
 			}}
 	}
-	eng := engine.New(engine.Options{Parallel: 1})
+	eng := engine.New(engine.Config{Parallel: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -426,7 +426,7 @@ func BenchmarkEngineOverhead(b *testing.B) {
 				return env.RNG.Uint64(), nil
 			}}
 	}
-	eng := engine.New(engine.Options{Parallel: 8})
+	eng := engine.New(engine.Config{Parallel: 8})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		results := eng.Run(context.Background(), jobs)

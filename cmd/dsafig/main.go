@@ -10,15 +10,16 @@
 //	dsafig serve-worker [-listen ADDR] [-cache-dir DIR] [-auth-token T]
 //
 // With no arguments every experiment runs in order. Experiment names:
-// fig1 fig2 fig3 fig4 t1 t2 t3 t4 t5 t6 t7 t8.
+// t0 fig1 fig2 fig3 fig4 t1 t2 t3 t4 t5 t6 t7 t8 t8b a1 a2 a3 a4 a5 a6
+// (-h lists them from the experiments registry).
 //
-// -parallel fans each experiment's cells across N engine workers
-// (0 = GOMAXPROCS); the tables are byte-identical at any parallelism.
-// -battery-parallel runs up to N whole experiments concurrently over
-// one shared executor (the -workers pool, whose children and caches
-// then persist across the battery, or a battery-wide cell pool bounded
-// by -parallel), re-emitting tables in canonical order — byte-identical
-// to the serial battery at any N.
+// -parallel runs the battery's cells on N in-process cell slots
+// shared by every sweep (0 = GOMAXPROCS); the tables are
+// byte-identical at any parallelism. -battery-parallel runs up to N
+// whole experiments concurrently over that one executor (or the
+// -workers pool, whose children and caches then persist across the
+// battery), re-emitting tables in canonical order — byte-identical to
+// the serial battery at any N.
 // -workers distributes each experiment's cells across N `dsafig
 // worker` child processes instead: every cell crosses the wire as
 // {sweep id, cell key, base seed}, is rebuilt from the worker's
@@ -64,15 +65,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"dsa/internal/cliflags"
-	"dsa/internal/engine"
-	"dsa/internal/engine/battery"
 	"dsa/internal/experiments"
 	"dsa/internal/metrics"
 	"dsa/internal/scenario"
@@ -102,7 +101,8 @@ func main() {
 	scenarios := flag.String("scenario", "", "comma-separated scenario files to compile and run alongside any named experiments")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: dsafig [-parallel N] [-workers N] [-remote host:port,...] [-batch B] [-battery-parallel N] [-seed S] [-cache-dir DIR] [-scenario FILE,...] [-progress] [experiment ...]\nexperiments: fig1 fig2 fig3 fig4 t1 t2 t3 t4 t5 t6 t7 t8 (default: all)\n")
+			"usage: dsafig [-parallel N] [-workers N] [-remote host:port,...] [-batch B] [-battery-parallel N] [-seed S] [-cache-dir DIR] [-scenario FILE,...] [-progress] [experiment ...]\nexperiments: %s (default: all)\n",
+			strings.Join(experiments.Names(), " "))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -111,8 +111,6 @@ func main() {
 		fail(err)
 	}
 	defer stopProfiles()
-	experiments.Configure(sw.Parallel, sw.Seed)
-	experiments.ConfigureBattery(sw.BatteryParallel)
 
 	// Declarative sweeps: each -scenario file compiles to engine cells
 	// and registers as a battery experiment under its wire id. With no
@@ -135,57 +133,16 @@ func main() {
 
 	// One battery-scoped store for everything this invocation runs:
 	// sweeps share workloads across experiments, and with -cache-dir
-	// they replay them across runs and processes.
-	store := sw.Store()
-	experiments.UseStore(store)
-	defer func() {
-		if st := store.Stats(); sw.CacheDir != "" || sw.Progress {
-			fmt.Fprintf(os.Stderr, "dsafig: store: %s\n", st.Summary())
-		}
-	}()
-
-	// Sweep-cost manifest: with a cache directory the battery records
-	// each sweep's observed wall-clock time there, and later
-	// -battery-parallel runs schedule longest-first from it. Purely
-	// advisory — tables re-emit in canonical order regardless.
-	if sw.CacheDir != "" {
-		costs := battery.LoadCosts(filepath.Join(sw.CacheDir, "latency.json"))
-		experiments.UseCosts(costs)
-		defer func() {
-			if err := costs.Save(); err != nil {
-				fmt.Fprintf(os.Stderr, "dsafig: costs: %v\n", err)
-			}
-		}()
-	}
-
-	pool, err := sw.Pool()
+	// they replay them across runs and processes. Stream each table out
+	// as soon as its prefix of the battery completes — in canonical
+	// order, whatever order sweeps finish in.
+	c, finish, err := sw.Battery()
 	if err != nil {
 		fail(err)
 	}
-	if pool != nil {
-		defer pool.Close()
-		defer func() {
-			fmt.Fprintf(os.Stderr, "dsafig: dist: %s\n", pool.Stats().Summary(sw.PoolSlots()))
-		}()
-		experiments.UseExecutor(pool)
-	}
-	if sw.Progress {
-		if sw.BatteryParallel > 1 {
-			// Interleaved per-sweep lines from concurrent sweeps would be
-			// unreadable; report the aggregated battery view instead.
-			experiments.ObserveBattery(func(p battery.Progress) {
-				fmt.Fprintf(os.Stderr, "dsafig: battery: %s\n", p)
-			})
-		} else {
-			experiments.Observe(func(sweep string, p engine.Progress) {
-				fmt.Fprintf(os.Stderr, "dsafig: %s: %s\n", sweep, p)
-			})
-		}
-	}
-
-	// Stream each table out as soon as its prefix of the battery
-	// completes — in canonical order, whatever order sweeps finish in.
-	if err := experiments.Stream(func(t *metrics.Table) { fmt.Println(t) }, names...); err != nil {
+	err = experiments.StreamConfig(context.Background(), c, func(t *metrics.Table) { fmt.Println(t) }, names...)
+	finish()
+	if err != nil {
 		fail(err)
 	}
 }

@@ -10,7 +10,6 @@
 //	dsasim -machine all -parallel 8 -workload segments
 //	dsasim -machine all -workers 2 -batch 4 -workload segments
 //	dsasim -machine all -cache-dir traces.cache -workload segments
-//	dsasim -machine all -battery-parallel 4 -workload segments
 //	dsasim serve-worker -listen 0.0.0.0:7070 -cache-dir traces.cache
 //	dsasim -machine all -remote host1:7070,host2:7070 -workload segments
 //	dsasim run -scenario examples/scenarios/t2-mirror.toml
@@ -18,16 +17,14 @@
 //
 // Machines: atlas m44 b5000 rice b8500 multics m67 recommended, or
 // "all" to sweep every appendix machine concurrently through the
-// experiment engine (-parallel bounds the worker pool; reports print
-// in appendix order regardless of scheduling). -workers N distributes
-// the sweep's cells across N `dsasim worker` child processes instead
-// of goroutines (0 = in-process), -batch B ships B cells per protocol
-// frame; output is byte-identical either way, and a worker crash
-// surfaces as FAILED cells while the sweep completes.
-// -battery-parallel N runs the machines as a battery of per-machine
-// sweeps, up to N in flight over one shared executor (the -workers
-// pool or a -parallel-bounded battery-wide cell pool), re-emitting
-// reports in appendix order — byte-identical at any N.
+// experiment engine: the seven machines are the cells of one sweep
+// (-parallel bounds the in-process cell slots; reports print in
+// appendix order regardless of scheduling). -workers N distributes the
+// sweep's cells across N `dsasim worker` child processes instead
+// (0 = in-process), -batch B ships B cells per protocol frame; output
+// is byte-identical either way, and a worker crash surfaces as FAILED
+// cells while the sweep completes. A machine run is one sweep, so
+// -battery-parallel N > 1 is rejected.
 // Workloads: workingset sequential random loop matrix segments. The
 // sweep materializes each distinct workload once in its shared catalog
 // (machines with equal linear extents replay one generation);
@@ -73,14 +70,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
 	"dsa/internal/cliflags"
 	"dsa/internal/core"
 	"dsa/internal/engine"
-	"dsa/internal/engine/battery"
 	"dsa/internal/engine/dist"
 	"dsa/internal/experiments"
 	"dsa/internal/machine"
@@ -156,6 +151,9 @@ func main() {
 	}
 	defer stopProfiles()
 
+	if err := sw.OneSweep("a machine run"); err != nil {
+		fail(err)
+	}
 	if strings.ToLower(*machineName) == "all" {
 		if *traceFile != "" {
 			fail(fmt.Errorf("-trace cannot be combined with -machine all"))
@@ -167,9 +165,6 @@ func main() {
 	}
 	if sw.Workers > 0 || len(sw.Remotes()) > 0 {
 		fail(fmt.Errorf("-workers/-remote require -machine all (single-machine runs have one cell)"))
-	}
-	if sw.BatteryParallel > 1 {
-		fail(fmt.Errorf("-battery-parallel requires -machine all (single-machine runs have one sweep)"))
 	}
 	m, err := buildMachine(*machineName, *scale)
 	if err != nil {
@@ -221,47 +216,13 @@ func cmdRun(args []string) {
 		fail(fmt.Errorf("run: -scenario names no files"))
 	}
 
-	experiments.Configure(sw.Parallel, sw.Seed)
-	experiments.ConfigureBattery(sw.BatteryParallel)
-	store := sw.Store()
-	experiments.UseStore(store)
-	defer func() {
-		if sw.CacheDir != "" || sw.Progress {
-			fmt.Fprintf(os.Stderr, "dsasim: store: %s\n", store.Stats().Summary())
-		}
-	}()
-	if sw.CacheDir != "" {
-		costs := battery.LoadCosts(filepath.Join(sw.CacheDir, "latency.json"))
-		experiments.UseCosts(costs)
-		defer func() {
-			if err := costs.Save(); err != nil {
-				fmt.Fprintf(os.Stderr, "dsasim: costs: %v\n", err)
-			}
-		}()
-	}
-	pool, err := sw.Pool()
+	c, finish, err := sw.Battery()
 	if err != nil {
 		fail(err)
 	}
-	if pool != nil {
-		defer pool.Close()
-		defer func() {
-			fmt.Fprintf(os.Stderr, "dsasim: dist: %s\n", pool.Stats().Summary(sw.PoolSlots()))
-		}()
-		experiments.UseExecutor(pool)
-	}
-	if sw.Progress {
-		if sw.BatteryParallel > 1 {
-			experiments.ObserveBattery(func(p battery.Progress) {
-				fmt.Fprintf(os.Stderr, "dsasim: battery: %s\n", p)
-			})
-		} else {
-			experiments.Observe(func(sweep string, p engine.Progress) {
-				fmt.Fprintf(os.Stderr, "dsasim: %s: %s\n", sweep, p)
-			})
-		}
-	}
-	if err := experiments.Stream(func(t *metrics.Table) { fmt.Println(t) }, names...); err != nil {
+	err = experiments.StreamConfig(context.Background(), c, func(t *metrics.Table) { fmt.Println(t) }, names...)
+	finish()
+	if err != nil {
 		fail(err)
 	}
 }
@@ -274,11 +235,9 @@ func cmdRun(args []string) {
 // processes, -batch cells per protocol frame — byte-identical output,
 // since each cell is rebuilt from {machine, workload, seed} and every
 // RNG is key-derived. -remote adds one slot per `dsasim serve-worker`
-// endpoint to the same pool. With -battery-parallel > 1 each machine
-// becomes its own sweep and up to that many run concurrently over one
-// shared executor (see runAllBattery). The sweep shares one workload
-// store: machines whose workloads coincide (equal linear extents, or
-// the machine-independent kinds) replay a single materialization,
+// endpoint to the same pool. The sweep shares one workload store:
+// machines whose workloads coincide (equal linear extents, or the
+// machine-independent kinds) replay a single materialization,
 // disk-backed when -cache-dir is set.
 func runAll(sw *cliflags.Sweep, kind string, refs, segs, scale int) error {
 	names := []string{"atlas", "m44", "b5000", "rice", "b8500", "multics", "m67"}
@@ -287,11 +246,22 @@ func runAll(sw *cliflags.Sweep, kind string, refs, segs, scale int) error {
 	if err != nil {
 		return err
 	}
+	cfg := sw.Config(store)
 	if pool != nil {
 		defer pool.Close()
+		cfg.Executor = pool
+	}
+	if sw.Progress {
+		cfg.OnProgress = func(p engine.Progress) {
+			fmt.Fprintf(os.Stderr, "dsasim: machine sweep: %s\n", p)
+		}
+	}
+	jobs := make([]engine.Job, len(names))
+	for i, name := range names {
+		jobs[i] = machineJob(name, kind, refs, segs, sw.Seed, scale)
 	}
 	var firstErr error
-	emit := func(r engine.Result) {
+	engine.New(cfg).Stream(context.Background(), jobs, func(r engine.Result) {
 		if r.Err != nil {
 			fmt.Printf("%s: FAILED: %v\n\n", r.Key, r.Err)
 			if firstErr == nil {
@@ -300,26 +270,7 @@ func runAll(sw *cliflags.Sweep, kind string, refs, segs, scale int) error {
 			return
 		}
 		fmt.Print(r.Value.(string))
-	}
-	if sw.BatteryParallel > 1 {
-		runAllBattery(names, store, pool, sw, kind, refs, segs, scale, emit)
-	} else {
-		cfg := sw.Config(store)
-		if sw.Progress {
-			cfg.OnProgress = func(p engine.Progress) {
-				fmt.Fprintf(os.Stderr, "dsasim: machine sweep: %s\n", p)
-			}
-		}
-		if pool != nil {
-			cfg.Executor = pool
-		}
-		eng := engine.NewFromConfig(cfg)
-		jobs := make([]engine.Job, len(names))
-		for i, name := range names {
-			jobs[i] = machineJob(name, kind, refs, segs, sw.Seed, scale)
-		}
-		eng.Stream(context.Background(), jobs, emit)
-	}
+	})
 	if pool != nil {
 		fmt.Fprintf(os.Stderr, "dsasim: dist: %s\n", pool.Stats().Summary(sw.PoolSlots()))
 	}
@@ -346,71 +297,6 @@ func machineJob(name, kind string, refs, segs int, seed uint64, scale int) engin
 		Run: func(ctx context.Context, env engine.Env) (interface{}, error) {
 			return machineReport(env.Catalog, name, kind, refs, segs, scale, seed)
 		},
-	}
-}
-
-// runAllBattery is the -battery-parallel form of the machine sweep:
-// every machine is its own single-cell sweep, up to batteryParallel of
-// them in flight at once over one shared executor — the dist pool when
-// -workers is set (its children and their caches persist across the
-// whole battery), a battery-wide cell pool bounded by -parallel
-// otherwise. Every sweep's catalog is a child scope of the one shared
-// store, so concurrent sweeps still materialize each workload exactly
-// once battery-wide, and reports are re-emitted in appendix order
-// regardless of completion order: output is byte-identical to the
-// serial sweep. With progress enabled, battery-wide aggregate
-// snapshots (sweeps done/running, cells, store traffic) stream to
-// stderr.
-func runAllBattery(names []string, store *catalog.Catalog, pool *dist.Pool,
-	sw *cliflags.Sweep, kind string, refs, segs, scale int, emit func(engine.Result)) {
-	cfg := sw.Config(store)
-	if pool != nil {
-		cfg.Executor = pool
-	}
-	exec := battery.PoolFromConfig(cfg)
-	// Machine sweep costs persist beside the workload cache, so repeat
-	// -battery-parallel runs start the slowest machines first.
-	var costs *battery.CostManifest
-	if sw.CacheDir != "" {
-		costs = battery.LoadCosts(filepath.Join(sw.CacheDir, "latency.json"))
-	}
-	var tracker *battery.Tracker
-	if sw.Progress {
-		tracker = battery.NewTracker(len(names), store.Stats, func(p battery.Progress) {
-			fmt.Fprintf(os.Stderr, "dsasim: battery: %s\n", p)
-		})
-	}
-	units := make([]battery.Unit, len(names))
-	for i, name := range names {
-		name := name
-		units[i] = battery.Unit{Name: "dsasim/" + name, Run: func(ctx context.Context) (interface{}, error) {
-			opts := engine.Options{Seed: sw.Seed, Catalog: store.Child(), Executor: exec}
-			if tracker != nil {
-				opts.OnProgress = func(p engine.Progress) { tracker.Observe("dsasim/"+name, p) }
-			}
-			eng := engine.New(opts)
-			return eng.Run(ctx, []engine.Job{machineJob(name, kind, refs, segs, sw.Seed, scale)})[0], nil
-		}}
-	}
-	results := battery.Run(context.Background(), units,
-		battery.Options{Parallel: sw.BatteryParallel, Tracker: tracker, Costs: costs.Cost},
-		func(r battery.Result) {
-			if r.Err != nil {
-				// A unit cannot fail by construction (cell failures ride
-				// inside the engine.Result), but containment demands we
-				// surface rather than drop it.
-				emit(engine.Result{Key: r.Name, Err: r.Err})
-				return
-			}
-			emit(r.Value.(engine.Result))
-		})
-	for _, r := range results {
-		if r.Err == nil {
-			costs.Record(r.Name, r.Elapsed)
-		}
-	}
-	if err := costs.Save(); err != nil {
-		fmt.Fprintf(os.Stderr, "dsasim: costs: %v\n", err)
 	}
 }
 

@@ -376,10 +376,8 @@ func cmdBatch(args []string) {
 	if *variants < 1 {
 		fail(fmt.Errorf("batch: -variants %d < 1", *variants))
 	}
-	if sw.BatteryParallel > 1 {
-		// batch is a single sweep over output files; there is no battery
-		// of sweeps to interleave.
-		fail(fmt.Errorf("batch: -battery-parallel has no effect here (batch is one sweep); drop the flag"))
+	if err := sw.OneSweep("batch"); err != nil {
+		fail(fmt.Errorf("batch: %w", err))
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fail(err)
@@ -401,7 +399,7 @@ func cmdBatch(args []string) {
 		defer pool.Close()
 		cfg.Executor = pool
 	}
-	eng := engine.NewFromConfig(cfg)
+	eng := engine.New(cfg)
 	jobs := make([]engine.Job, len(specs))
 	for i, sp := range specs {
 		sp := sp

@@ -53,16 +53,18 @@
 // # The experiment engine
 //
 // Every experiment fans its independent simulation cells (one per
-// machine config × workload × policy point) across the worker pool in
-// internal/engine. Two flags control it on both commands:
+// machine config × workload × policy point) out through internal/engine
+// to its one in-process executor, an engine.Budget of cell slots shared
+// by every sweep of the run. Two flags control it on both commands:
 //
-//   - -parallel N bounds the pool (0 = GOMAXPROCS). Results are
-//     deterministic: every cell derives all of its randomness from
-//     fixed workload seeds (rebased through sim.SeedFor when -seed is
-//     set), never from submission order or scheduling, so the
-//     aggregated tables are byte-identical at -parallel=1 and
-//     -parallel=8. The engine also hands each job a private RNG keyed
-//     on (base seed, job key) for cells that want their own stream.
+//   - -parallel N is the number of cell slots (0 = GOMAXPROCS).
+//     Results are deterministic: every cell derives all of its
+//     randomness from fixed workload seeds (rebased through
+//     sim.SeedFor when -seed is set), never from submission order or
+//     scheduling, so the aggregated tables are byte-identical at
+//     -parallel=1 and -parallel=8. The engine also hands each job a
+//     private RNG keyed on (base seed, job key) for cells that want
+//     their own stream.
 //   - -seed S (dsafig) rebases every workload seed. 0, the default,
 //     reproduces the paper-exact tables; any other value derives a
 //     fresh but equally reproducible scenario for the whole battery.
@@ -155,17 +157,23 @@
 // # Running the battery
 //
 // Above the per-sweep axes sits the battery scheduler
-// (internal/engine/battery): -battery-parallel N runs up to N whole
-// experiments concurrently over one shared executor, instead of
-// strictly one after another the way experiments.All() historically
-// did. It composes with the other flags rather than multiplying them:
+// (internal/engine/battery). Every experiment battery — dsafig,
+// `dsasim run`, a served job — goes through it and through one
+// function, experiments.StreamConfig, under one per-invocation
+// experiments.Config (the CLIs build theirs from their flags with
+// cliflags.Sweep.Battery). -battery-parallel N runs up to N whole
+// experiments concurrently over one shared executor; N = 1 is the same
+// path feeding sweeps one at a time. It composes with the other flags
+// rather than multiplying them:
 //
-//   - -battery-parallel × -parallel: without -workers, the battery
-//     installs one battery-wide cell pool bounded by -parallel, so
+//   - -battery-parallel × -parallel: without -workers, every sweep runs
+//     on the battery's one engine.Budget of -parallel cell slots, so
 //     the budget is total cells in flight across every running sweep —
-//     N sweeps never mean N × parallel goroutines. Serial sweeps leave
-//     cores idle during single-cell figures and aggregation tails; the
-//     scheduler fills those gaps with other sweeps' cells.
+//     N sweeps never mean N × parallel cells. A worker that finishes a
+//     cell keeps its slot unless another sweep's worker is waiting, in
+//     which case it queues behind it. Serial sweeps leave cores idle
+//     during single-cell figures and aggregation tails; the scheduler
+//     fills those gaps with other sweeps' cells.
 //   - -battery-parallel × -workers: the dist pool is the shared
 //     executor. Its worker processes — and their per-process workload
 //     catalogs — persist across the whole battery instead of being
@@ -182,8 +190,11 @@
 //
 // Output is byte-identical at any -battery-parallel: sweeps complete
 // in any order, but tables are re-emitted in canonical order, and all
-// determinism remains key-derived. A sweep whose cells panic still
-// becomes FAILED rows in its own table while the rest of the battery
+// determinism remains key-derived. That holds on failure paths too: a
+// sweep that fails with an ordinary error cancels only the sweeps
+// declared after it, so every table before it still prints, exactly
+// as in a serial battery. A sweep whose cells panic still becomes
+// FAILED rows in its own table while the rest of the battery
 // completes; with -progress, dsafig reports aggregated battery-wide
 // snapshots (sweeps done/running, cells done/failed/total, store
 // traffic, ETA) instead of interleaved per-sweep lines. The CI
@@ -298,11 +309,14 @@
 //	curl -N http://127.0.0.1:7070/sweeps/job-1/stream
 //	curl -s http://127.0.0.1:7070/results/<key>
 //
-// Admission is the battery semaphore generalized per tenant: -parallel
-// bounds total cells in flight across every tenant's sweeps,
-// -tenant-cells caps any one tenant below that, and when cells free up
-// the scheduler hands them to the least-served starved tenant,
-// breaking ties at random so no fixed tenant order can starve another.
+// Admission is the battery's engine.Budget with one tenant per client
+// instead of the CLI's single tenant "": -parallel bounds total cells
+// in flight across every tenant's sweeps, -tenant-cells caps any one
+// tenant below that, and when cells free up the budget hands them to
+// the least-served starved tenant, breaking ties at random so no fixed
+// tenant order can starve another. A worker that has just finished a
+// cell competes for its own slot under the same rule instead of
+// keeping it while another tenant waits.
 // A tenant already holding -tenant-jobs open jobs gets 429 with a
 // Retry-After estimated from the cost manifest's measured sweep
 // latencies — back-pressure, never an error — and cmd/dsabench is the

@@ -6,20 +6,24 @@
 // previously duplicated per command.
 //
 // The flag values collect into a Sweep, which projects onto the
-// unified engine.Config (see Sweep.Config): commands hand that config
-// to dist.PoolFromConfig / battery.PoolFromConfig / engine.New instead
-// of threading a dozen scalars.
+// unified engine.Config (see Sweep.Config) for commands that run one
+// sweep through engine.New, and onto an experiments.Config (see
+// Sweep.Battery) for commands that run experiment batteries through
+// experiments.StreamConfig.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 
 	"dsa/internal/engine"
+	"dsa/internal/engine/battery"
 	"dsa/internal/engine/dist"
+	"dsa/internal/experiments"
 	"dsa/internal/workload/catalog"
 )
 
@@ -52,7 +56,7 @@ type Sweep struct {
 // generation: 1).
 func Register(fs *flag.FlagSet, prog string, seedDefault uint64) *Sweep {
 	s := &Sweep{Prog: prog}
-	fs.IntVar(&s.Parallel, "parallel", 0, "engine workers per sweep (0 = GOMAXPROCS)")
+	fs.IntVar(&s.Parallel, "parallel", 0, "in-process cell slots shared by every sweep of the run (0 = GOMAXPROCS)")
 	fs.IntVar(&s.Workers, "workers", 0, "distribute cells across N worker processes (0 = in-process)")
 	fs.StringVar(&s.Remote, "remote", "",
 		fmt.Sprintf("comma-separated `%s serve-worker` endpoints (host:port,...) serving cells alongside any -workers", prog))
@@ -85,17 +89,78 @@ func (s *Sweep) Store() *catalog.Catalog { return Store(s.Prog, s.CacheDir) }
 // with store (may be nil) as its catalog.
 func (s *Sweep) Config(store *catalog.Catalog) engine.Config {
 	return engine.Config{
-		Parallel:        s.Parallel,
-		Seed:            s.Seed,
-		Catalog:         store,
-		Workers:         s.Workers,
-		Batch:           s.Batch,
-		AdaptiveBatch:   s.AdaptiveBatch,
-		Remote:          s.Remotes(),
-		AuthToken:       s.AuthToken,
-		CacheDir:        s.CacheDir,
-		BatteryParallel: s.BatteryParallel,
+		Parallel:      s.Parallel,
+		Seed:          s.Seed,
+		Catalog:       store,
+		Workers:       s.Workers,
+		Batch:         s.Batch,
+		AdaptiveBatch: s.AdaptiveBatch,
+		Remote:        s.Remotes(),
+		AuthToken:     s.AuthToken,
+		CacheDir:      s.CacheDir,
 	}
+}
+
+// Battery builds the experiments.Config the flags ask for, for an
+// experiments.StreamConfig call: this process's workload store, the
+// dist pool when -workers/-remote are set, the sweep-cost manifest in
+// -cache-dir (later -battery-parallel runs schedule longest-first from
+// it), and the -progress observer — the aggregated battery view under
+// -battery-parallel, where interleaved per-sweep lines would be
+// unreadable, per-sweep lines otherwise. The returned finish function
+// prints the dist summary, closes the pool, saves the manifest and
+// prints the store summary (with -cache-dir or -progress); call it
+// once the battery is done.
+func (s *Sweep) Battery() (experiments.Config, func(), error) {
+	c := experiments.Config{
+		Parallel:        s.Parallel,
+		BatteryParallel: s.BatteryParallel,
+		Seed:            s.Seed,
+		Store:           s.Store(),
+	}
+	pool, err := s.Pool()
+	if err != nil {
+		return c, nil, err
+	}
+	if pool != nil {
+		c.Executor = pool
+	}
+	if s.CacheDir != "" {
+		c.Costs = battery.LoadCosts(filepath.Join(s.CacheDir, "latency.json"))
+	}
+	if s.Progress {
+		if s.BatteryParallel > 1 {
+			c.OnBatteryProgress = func(p battery.Progress) {
+				fmt.Fprintf(os.Stderr, "%s: battery: %s\n", s.Prog, p)
+			}
+		} else {
+			c.OnProgress = func(sweep string, p engine.Progress) {
+				fmt.Fprintf(os.Stderr, "%s: %s: %s\n", s.Prog, sweep, p)
+			}
+		}
+	}
+	finish := func() {
+		if pool != nil {
+			fmt.Fprintf(os.Stderr, "%s: dist: %s\n", s.Prog, pool.Stats().Summary(s.PoolSlots()))
+			pool.Close()
+		}
+		if err := c.Costs.Save(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: costs: %v\n", s.Prog, err)
+		}
+		if s.CacheDir != "" || s.Progress {
+			fmt.Fprintf(os.Stderr, "%s: store: %s\n", s.Prog, c.Store.Stats().Summary())
+		}
+	}
+	return c, finish, nil
+}
+
+// OneSweep rejects -battery-parallel > 1 for a run that is a single
+// sweep, with no battery of sweeps to interleave; what names the run.
+func (s *Sweep) OneSweep(what string) error {
+	if s.BatteryParallel > 1 {
+		return fmt.Errorf("-battery-parallel has no effect here (%s is one sweep); drop the flag", what)
+	}
+	return nil
 }
 
 // StartProfiles honors the -cpuprofile/-memprofile flags: it starts

@@ -18,8 +18,9 @@
 //     function that itself panics is recovered here and recorded as a
 //     failed Result instead of sinking the battery.
 //   - Bounded concurrency. Options.Parallel bounds how many sweeps are
-//     in flight; Pool bounds how many cells run battery-wide, so the
-//     -parallel/-workers budget is a total budget, not a per-sweep one.
+//     in flight; the shared executor (an engine.Budget or a dist.Pool)
+//     bounds how many cells run battery-wide, so the -parallel/-workers
+//     budget is a total budget, not a per-sweep one.
 //
 // Progress is aggregated battery-wide by Tracker: sweeps done/running,
 // cells done/failed/total across every started sweep, the shared
@@ -68,8 +69,8 @@ type Result struct {
 // Options configures a battery run.
 type Options struct {
 	// Parallel bounds how many sweeps run concurrently; <= 1 means
-	// serial (today's All() behavior), and the scheduler still goes
-	// through the same ordered-emission path so bytes cannot differ.
+	// serial in declaration order, through the same ordered-emission
+	// path, so bytes cannot differ.
 	Parallel int
 	// Tracker, if non-nil, receives sweep lifecycle events and renders
 	// battery-wide progress snapshots.
@@ -192,65 +193,9 @@ func runUnit(ctx context.Context, index int, u Unit) (res Result) {
 	return res
 }
 
-// Pool is the battery-wide in-process cell executor: a semaphore of N
-// slots shared by every sweep of the battery, so N bounds the total
-// number of cells in flight no matter how many sweeps run
-// concurrently. It implements engine.Executor and — unlike the
-// engine's default per-sweep pool — is safe for concurrent Execute
-// calls; each call still honors the engine's executor contract
-// (exactly-once reporting, key-derived seeding via engine.RunJob,
-// cancellation reporting).
-type Pool struct {
-	sem chan struct{}
-}
-
-// PoolFromConfig returns the battery-wide cell executor an
-// engine.Config implies: the config's own Executor when set (a dist
-// pool's children and caches then persist across the whole battery),
-// otherwise a shared in-process pool bounded by the config's Parallel
-// — so the same flag bounds total cells in flight whether sweeps run
-// serially or concurrently.
-func PoolFromConfig(c engine.Config) engine.Executor {
-	if c.Executor != nil {
-		return c.Executor
-	}
-	return NewPool(c.Parallel)
-}
-
-// NewPool returns a shared executor with n battery-wide cell slots
-// (n <= 0 means GOMAXPROCS).
-func NewPool(n int) *Pool {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return &Pool{sem: make(chan struct{}, n)}
-}
-
-// Parallel reports the battery-wide cell budget.
-func (p *Pool) Parallel() int { return cap(p.sem) }
-
-// Execute implements engine.Executor over the shared slots.
-func (p *Pool) Execute(ctx context.Context, sw engine.SweepEnv, jobs []engine.Job, report func(engine.Result)) {
-	var wg sync.WaitGroup
-	for i := range jobs {
-		select {
-		case <-ctx.Done():
-			for j := i; j < len(jobs); j++ {
-				report(engine.Result{Key: jobs[j].Key, Index: j, Err: ctx.Err()})
-			}
-			wg.Wait()
-			return
-		case p.sem <- struct{}{}:
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-p.sem }()
-			report(engine.RunJob(ctx, i, jobs[i], sw.Seed, sw.Catalog))
-		}(i)
-	}
-	wg.Wait()
-}
+// NewPool returns a battery-wide in-process cell executor with n cell
+// slots (n <= 0 means GOMAXPROCS): tenant "" of a fresh engine.Budget.
+func NewPool(n int) engine.Executor { return engine.NewBudget(n, 0).Executor("") }
 
 // Progress is a battery-wide snapshot, delivered to the Tracker's
 // observer whenever a sweep starts or finishes and after every cell of

@@ -133,15 +133,12 @@ func TestCancellationMidBattery(t *testing.T) {
 }
 
 // TestPoolBoundsCellsBatteryWide: N concurrent sweeps over one shared
-// Pool must never have more cells in flight than the pool's budget —
+// pool executor must never have more cells in flight than its budget —
 // the property that makes -parallel a total budget under
 // -battery-parallel.
 func TestPoolBoundsCellsBatteryWide(t *testing.T) {
 	const budget = 3
 	pool := NewPool(budget)
-	if pool.Parallel() != budget {
-		t.Fatalf("Parallel() = %d, want %d", pool.Parallel(), budget)
-	}
 	var inFlight, peak int64
 	mkJobs := func(sweep int) []engine.Job {
 		jobs := make([]engine.Job, 6)
@@ -170,7 +167,7 @@ func TestPoolBoundsCellsBatteryWide(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng := engine.New(engine.Options{Seed: uint64(s), Executor: pool})
+			eng := engine.New(engine.Config{Seed: uint64(s), Executor: pool})
 			for _, r := range eng.Run(context.Background(), mkJobs(s)) {
 				if r.Err != nil {
 					t.Errorf("%s: %v", r.Key, r.Err)
@@ -184,9 +181,9 @@ func TestPoolBoundsCellsBatteryWide(t *testing.T) {
 	}
 }
 
-// TestPoolCancellationReportsEveryJob: the shared pool must honor the
-// executor contract under cancellation — every job reported exactly
-// once, unstarted jobs with ctx.Err().
+// TestPoolCancellationReportsEveryJob: the shared pool executor must
+// honor the executor contract under cancellation — every job reported
+// exactly once, unstarted jobs with ctx.Err().
 func TestPoolCancellationReportsEveryJob(t *testing.T) {
 	pool := NewPool(1)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -201,7 +198,7 @@ func TestPoolCancellationReportsEveryJob(t *testing.T) {
 			},
 		}
 	}
-	eng := engine.New(engine.Options{Executor: pool})
+	eng := engine.New(engine.Config{Executor: pool})
 	results := eng.Run(ctx, jobs)
 	reported, cancelled := 0, 0
 	for _, r := range results {

@@ -2,24 +2,22 @@ package engine
 
 import "dsa/internal/workload/catalog"
 
-// Config is the one documented knob set behind every sweep-running
-// entry point — the dsasim/dsafig/dsatrace command lines (registered
-// uniformly by internal/cliflags), the experiments runner, and
-// declarative scenarios. It unifies what used to be spread across
-// three shapes: the per-engine Options (which remain as this config's
-// engine-level view, see Options()), the dist pool parameters
-// (consumed by dist.PoolFromConfig), and the battery scheduler's
-// executor choice (battery.PoolFromConfig).
+// Config is the engine's knob set: the engine-level fields New reads
+// (Parallel, Seed, Catalog, OnProgress, Executor) and the dist pool
+// fields dist.PoolFromConfig reads (Workers through CacheDir).
+// Single-sweep commands fill it from their flags via
+// cliflags.Sweep.Config; experiment batteries carry an
+// experiments.Config, which builds one per sweep.
 //
 // The zero value is the documented default everywhere: in-process
-// execution with GOMAXPROCS cell workers, paper-exact seeding, a
-// fresh in-memory workload store, no worker processes, no remote
-// endpoints, a serial battery, and no disk cache. Every field only
-// ever widens that: output bytes are identical at any setting.
+// execution on GOMAXPROCS cell slots, paper-exact seeding, a fresh
+// in-memory workload store, no worker processes, no remote endpoints,
+// and no disk cache. Every field only ever widens that: output bytes
+// are identical at any setting.
 type Config struct {
-	// Parallel bounds the in-process cell workers per sweep; <= 0
-	// means GOMAXPROCS. Ignored when Executor is set (the executor
-	// owns its own concurrency).
+	// Parallel is the cell-slot count of the budget New builds when
+	// Executor is nil; <= 0 means GOMAXPROCS. Ignored when Executor is
+	// set (the executor owns its own concurrency).
 	Parallel int
 	// Seed is the base seed mixed with each job key by sim.SeedFor.
 	// 0 reproduces the paper-exact workloads; any other value
@@ -32,9 +30,9 @@ type Config struct {
 	// OnProgress, if non-nil, observes each sweep (serialized, once
 	// per completed cell).
 	OnProgress func(Progress)
-	// Executor, if non-nil, replaces the in-process goroutine pool —
-	// a dist.Pool for worker processes, a battery.Pool for a shared
-	// battery-wide cell budget.
+	// Executor, if non-nil, runs the cells instead of a fresh budget —
+	// a dist.Pool for worker processes, or a Budget.Executor shared
+	// with other sweeps or tenants.
 	Executor Executor
 
 	// Workers is the number of local `<cmd> worker` child processes a
@@ -59,30 +57,8 @@ type Config struct {
 	// content-addressed disk cache and travels to local worker
 	// children as their -cache-dir.
 	CacheDir string
-
-	// BatteryParallel bounds how many whole sweeps run concurrently
-	// over one shared executor; <= 1 means serial. Byte-identical at
-	// any value.
-	BatteryParallel int
-}
-
-// Options is this config's engine-level view — the subset engine.New
-// consumes. Options itself predates Config and is kept as its thin
-// alias for per-engine construction; new code should carry a Config
-// and project it here at the engine boundary.
-func (c Config) Options() Options {
-	return Options{
-		Parallel:   c.Parallel,
-		Seed:       c.Seed,
-		Catalog:    c.Catalog,
-		OnProgress: c.OnProgress,
-		Executor:   c.Executor,
-	}
 }
 
 // Distributed reports whether the config asks for out-of-process
 // cells — the condition under which dist.PoolFromConfig builds a pool.
 func (c Config) Distributed() bool { return c.Workers > 0 || len(c.Remote) > 0 }
-
-// NewFromConfig builds an engine from the config's engine-level view.
-func NewFromConfig(c Config) *Engine { return New(c.Options()) }

@@ -43,7 +43,7 @@ func BenchmarkDistRoundTrips(b *testing.B) {
 	for _, batch := range []int{1, 8} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			pool := newBenchPool(b, 2, batch)
-			eng := engine.New(engine.Options{Seed: 7, Executor: pool})
+			eng := engine.New(engine.Config{Seed: 7, Executor: pool})
 			jobs := rowJobs(cells)
 			// Warm the workers once so spawn cost stays off the clock.
 			for _, r := range eng.Run(context.Background(), jobs) {

@@ -142,7 +142,7 @@ func rowJobs(n int) []engine.Job {
 }
 
 // renderSweep runs jobs through an engine into a table.
-func renderSweep(t *testing.T, opts engine.Options, jobs []engine.Job) string {
+func renderSweep(t *testing.T, opts engine.Config, jobs []engine.Job) string {
 	t.Helper()
 	tb := &metrics.Table{Title: "dist", Header: []string{"key", "draw", "ratio", "time", "even", "shared"}}
 	eng := engine.New(opts)
@@ -156,10 +156,10 @@ func renderSweep(t *testing.T, opts engine.Options, jobs []engine.Job) string {
 // worker processes renders byte-identically to the in-process pool,
 // including named types (sim.Time) round-tripped through gob.
 func TestDistMatchesInProcess(t *testing.T) {
-	local := renderSweep(t, engine.Options{Parallel: 2, Seed: 7}, rowJobs(12))
+	local := renderSweep(t, engine.Config{Parallel: 2, Seed: 7}, rowJobs(12))
 
 	pool := newTestPool(t, 2, io.Discard)
-	dist := renderSweep(t, engine.Options{Seed: 7, Executor: pool}, rowJobs(12))
+	dist := renderSweep(t, engine.Config{Seed: 7, Executor: pool}, rowJobs(12))
 
 	if local != dist {
 		t.Errorf("distributed output diverged from in-process:\nlocal:\n%s\ndist:\n%s", local, dist)
@@ -174,10 +174,10 @@ func TestDistMatchesInProcess(t *testing.T) {
 // frames must change round-trip counts, never bytes — at several batch
 // sizes including ones that do not divide the cell count.
 func TestBatchedDistMatchesInProcess(t *testing.T) {
-	local := renderSweep(t, engine.Options{Parallel: 2, Seed: 7}, rowJobs(13))
+	local := renderSweep(t, engine.Config{Parallel: 2, Seed: 7}, rowJobs(13))
 	for _, batch := range []int{2, 5, 64} {
 		pool := newBatchPool(t, 2, batch, io.Discard)
-		dist := renderSweep(t, engine.Options{Seed: 7, Executor: pool}, rowJobs(13))
+		dist := renderSweep(t, engine.Config{Seed: 7, Executor: pool}, rowJobs(13))
 		if local != dist {
 			t.Errorf("batch=%d output diverged from in-process:\nlocal:\n%s\ndist:\n%s", batch, local, dist)
 		}
@@ -197,7 +197,7 @@ func TestBatchCrashContainedPerBatch(t *testing.T) {
 	jobs[2] = engine.Job{Key: "cell-02", Spec: &engine.Spec{Task: "test/crash"}}
 
 	pool := newBatchPool(t, 1, 3, io.Discard)
-	eng := engine.New(engine.Options{Seed: 1, Executor: pool})
+	eng := engine.New(engine.Config{Seed: 1, Executor: pool})
 	results := eng.Run(context.Background(), jobs)
 
 	var failed int
@@ -227,7 +227,7 @@ func TestBatchCrashContainedPerBatch(t *testing.T) {
 	jobs = rowJobs(4)
 	jobs[1] = engine.Job{Key: "cell-01", Spec: &engine.Spec{Task: "test/panic"}}
 	pool2 := newBatchPool(t, 1, 4, io.Discard)
-	eng2 := engine.New(engine.Options{Seed: 1, Executor: pool2})
+	eng2 := engine.New(engine.Config{Seed: 1, Executor: pool2})
 	for _, r := range eng2.Run(context.Background(), jobs) {
 		if r.Key == "cell-01" {
 			if !r.Panicked || !strings.Contains(r.Err.Error(), "remote boom") {
@@ -252,7 +252,7 @@ func TestWorkerCrashContained(t *testing.T) {
 	jobs[3] = engine.Job{Key: "cell-03", Spec: &engine.Spec{Task: "test/crash"}}
 
 	pool := newTestPool(t, 1, io.Discard)
-	eng := engine.New(engine.Options{Seed: 1, Executor: pool})
+	eng := engine.New(engine.Config{Seed: 1, Executor: pool})
 	results := eng.Run(context.Background(), jobs)
 
 	for _, r := range results {
@@ -296,9 +296,9 @@ func TestRemotePanicMatchesLocalContainment(t *testing.T) {
 		}
 		return jobs
 	}
-	local := renderSweep(t, engine.Options{Parallel: 2, Seed: 3}, mkJobs())
+	local := renderSweep(t, engine.Config{Parallel: 2, Seed: 3}, mkJobs())
 	pool := newTestPool(t, 2, io.Discard)
-	dist := renderSweep(t, engine.Options{Seed: 3, Executor: pool}, mkJobs())
+	dist := renderSweep(t, engine.Config{Seed: 3, Executor: pool}, mkJobs())
 	if local != dist {
 		t.Errorf("contained panic rendered differently:\nlocal:\n%s\ndist:\n%s", local, dist)
 	}
@@ -313,7 +313,7 @@ func TestRemoteErrorStaysOrdinary(t *testing.T) {
 	jobs := rowJobs(3)
 	jobs[2] = engine.Job{Key: "cell-02", Spec: &engine.Spec{Task: "test/error"}}
 	pool := newTestPool(t, 2, io.Discard)
-	eng := engine.New(engine.Options{Executor: pool})
+	eng := engine.New(engine.Config{Executor: pool})
 	tb := &metrics.Table{Header: []string{"k", "v", "r", "t", "e", "s"}}
 	_, err := eng.FillTable(context.Background(), tb, jobs)
 	if err == nil || !strings.Contains(err.Error(), "deliberate failure in cell-02") {
@@ -339,7 +339,7 @@ func TestCancellationKillsChildren(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	eng := engine.New(engine.Options{Executor: pool})
+	eng := engine.New(engine.Config{Executor: pool})
 	results := eng.Run(ctx, jobs)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancellation took %v; children were not killed", elapsed)
@@ -357,8 +357,8 @@ func TestCancellationKillsChildren(t *testing.T) {
 // the worker slots serve whichever sweep's batch comes next instead of
 // being torn down and respawned per sweep.
 func TestConcurrentSweepsSharePool(t *testing.T) {
-	localA := renderSweep(t, engine.Options{Parallel: 2, Seed: 7}, rowJobs(12))
-	localB := renderSweep(t, engine.Options{Parallel: 2, Seed: 31}, rowJobs(9))
+	localA := renderSweep(t, engine.Config{Parallel: 2, Seed: 7}, rowJobs(12))
+	localB := renderSweep(t, engine.Config{Parallel: 2, Seed: 31}, rowJobs(9))
 
 	pool := newBatchPool(t, 2, 2, io.Discard)
 	var wg sync.WaitGroup
@@ -366,11 +366,11 @@ func TestConcurrentSweepsSharePool(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		distA = renderSweep(t, engine.Options{Seed: 7, Executor: pool}, rowJobs(12))
+		distA = renderSweep(t, engine.Config{Seed: 7, Executor: pool}, rowJobs(12))
 	}()
 	go func() {
 		defer wg.Done()
-		distB = renderSweep(t, engine.Options{Seed: 31, Executor: pool}, rowJobs(9))
+		distB = renderSweep(t, engine.Config{Seed: 31, Executor: pool}, rowJobs(9))
 	}()
 	wg.Wait()
 	if distA != localA {
@@ -390,7 +390,7 @@ func TestConcurrentSweepsSharePool(t *testing.T) {
 // complete, and byte-identical — because the cancellation kill is
 // scoped to children serving the cancelled sweep's context.
 func TestCancelOneSweepLeavesOtherIntact(t *testing.T) {
-	want := renderSweep(t, engine.Options{Parallel: 2, Seed: 7}, rowJobs(12))
+	want := renderSweep(t, engine.Config{Parallel: 2, Seed: 7}, rowJobs(12))
 
 	pool := newTestPool(t, 2, io.Discard)
 	sleepJobs := make([]engine.Job, 4)
@@ -406,7 +406,7 @@ func TestCancelOneSweepLeavesOtherIntact(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		eng := engine.New(engine.Options{Executor: pool})
+		eng := engine.New(engine.Config{Executor: pool})
 		cancelledResults = eng.Run(ctx, sleepJobs)
 	}()
 	go func() {
@@ -423,7 +423,7 @@ func TestCancelOneSweepLeavesOtherIntact(t *testing.T) {
 	// The healthy sweep runs after the cancellation killed the sleeping
 	// children: the slots must respawn cleanly (the kill spent no crash
 	// budget) and the output must not change a byte.
-	got := renderSweep(t, engine.Options{Seed: 7, Executor: pool}, rowJobs(12))
+	got := renderSweep(t, engine.Config{Seed: 7, Executor: pool}, rowJobs(12))
 	if got != want {
 		t.Errorf("sweep after a concurrent cancellation diverged:\n%s\nwant:\n%s", got, want)
 	}
@@ -448,7 +448,7 @@ func TestWorkStealing(t *testing.T) {
 		}}
 	}
 	pool := newTestPool(t, 2, io.Discard)
-	eng := engine.New(engine.Options{Executor: pool})
+	eng := engine.New(engine.Config{Executor: pool})
 	results := eng.Run(context.Background(), jobs)
 	for _, r := range results {
 		if r.Err != nil {
@@ -471,7 +471,7 @@ func TestSpecLessJobsRunLocally(t *testing.T) {
 		}}
 	}
 	pool := newTestPool(t, 2, io.Discard)
-	eng := engine.New(engine.Options{Executor: pool})
+	eng := engine.New(engine.Config{Executor: pool})
 	for _, r := range eng.Run(context.Background(), jobs) {
 		if r.Err != nil {
 			t.Errorf("%s: %v", r.Key, r.Err)
@@ -496,9 +496,9 @@ func TestBrokenWorkerBinaryFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	eng := engine.New(engine.Options{Seed: 7, Executor: p})
+	eng := engine.New(engine.Config{Seed: 7, Executor: p})
 	jobs := rowJobs(6)
-	want := renderSweep(t, engine.Options{Parallel: 2, Seed: 7}, rowJobs(6))
+	want := renderSweep(t, engine.Config{Parallel: 2, Seed: 7}, rowJobs(6))
 	tb := &metrics.Table{Title: "dist", Header: []string{"key", "draw", "ratio", "time", "even", "shared"}}
 	if _, err := eng.FillTable(context.Background(), tb, jobs); err != nil {
 		t.Fatal(err)
@@ -518,7 +518,7 @@ func TestStderrPrefixNamesCell(t *testing.T) {
 	var buf syncBuffer
 	jobs := []engine.Job{{Key: "noisy/cell", Spec: &engine.Spec{Task: "test/stderr"}}}
 	pool := newTestPool(t, 1, &buf)
-	eng := engine.New(engine.Options{Executor: pool})
+	eng := engine.New(engine.Config{Executor: pool})
 	for _, r := range eng.Run(context.Background(), jobs) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Key, r.Err)
@@ -544,7 +544,7 @@ func TestCrashPartialLineFlushed(t *testing.T) {
 	var buf syncBuffer
 	jobs := []engine.Job{{Key: "doomed/cell", Spec: &engine.Spec{Task: "test/crash-midline"}}}
 	pool := newTestPool(t, 1, &buf)
-	eng := engine.New(engine.Options{Executor: pool})
+	eng := engine.New(engine.Config{Executor: pool})
 	results := eng.Run(context.Background(), jobs)
 	if !results[0].Panicked {
 		t.Fatalf("crashed cell = %+v, want contained crash", results[0])

@@ -122,8 +122,8 @@ func (s Stats) Summary(workers int) string {
 
 // Pool shards engine sweeps across a pool of worker slots — local
 // child processes (Workers) and/or remote serve-workers (Remote): the
-// out-of-process counterpart of the engine's default goroutine pool,
-// implementing engine.Executor. Cells are pre-sharded round-robin onto
+// out-of-process counterpart of the engine's in-process Budget
+// executor, implementing engine.Executor. Cells are pre-sharded round-robin onto
 // the slots; a slot that drains its own queue steals from the longest
 // remaining queue, so one skewed-cost cell cannot idle the rest of the
 // pool.

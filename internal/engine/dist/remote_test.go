@@ -102,11 +102,11 @@ func deadEndpoint(t *testing.T) string {
 // through TCP serve-worker slots renders byte-identically to the
 // in-process pool, at several batch sizes.
 func TestTCPMatchesInProcess(t *testing.T) {
-	local := renderSweep(t, engine.Options{Parallel: 2, Seed: 7}, rowJobs(12))
+	local := renderSweep(t, engine.Config{Parallel: 2, Seed: 7}, rowJobs(12))
 	addr := startServeWorker(t, ServeOptions{})
 	for _, batch := range []int{1, 4} {
 		pool := newRemotePool(t, Options{Remote: []string{addr, addr}, Batch: batch})
-		got := renderSweep(t, engine.Options{Seed: 7, Executor: pool}, rowJobs(12))
+		got := renderSweep(t, engine.Config{Seed: 7, Executor: pool}, rowJobs(12))
 		if got != local {
 			t.Errorf("batch=%d TCP output diverged from in-process:\nlocal:\n%s\ntcp:\n%s", batch, local, got)
 		}
@@ -121,8 +121,8 @@ func TestTCPMatchesInProcess(t *testing.T) {
 // remote slots — two sweeps concurrently on one TCP pool, each
 // byte-identical to its in-process run.
 func TestTCPConcurrentSweepsSharePool(t *testing.T) {
-	localA := renderSweep(t, engine.Options{Parallel: 2, Seed: 7}, rowJobs(12))
-	localB := renderSweep(t, engine.Options{Parallel: 2, Seed: 31}, rowJobs(9))
+	localA := renderSweep(t, engine.Config{Parallel: 2, Seed: 7}, rowJobs(12))
+	localB := renderSweep(t, engine.Config{Parallel: 2, Seed: 31}, rowJobs(9))
 	addr := startServeWorker(t, ServeOptions{})
 	pool := newRemotePool(t, Options{Remote: []string{addr, addr}, Batch: 2})
 	var wg sync.WaitGroup
@@ -130,11 +130,11 @@ func TestTCPConcurrentSweepsSharePool(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		distA = renderSweep(t, engine.Options{Seed: 7, Executor: pool}, rowJobs(12))
+		distA = renderSweep(t, engine.Config{Seed: 7, Executor: pool}, rowJobs(12))
 	}()
 	go func() {
 		defer wg.Done()
-		distB = renderSweep(t, engine.Options{Seed: 31, Executor: pool}, rowJobs(9))
+		distB = renderSweep(t, engine.Config{Seed: 31, Executor: pool}, rowJobs(9))
 	}()
 	wg.Wait()
 	if distA != localA {
@@ -162,13 +162,13 @@ func TestTCPWorkerKillMidBatch(t *testing.T) {
 	}
 	// Local reference values for the cells that should survive.
 	want := map[string]string{}
-	localEng := engine.New(engine.Options{Parallel: 2, Seed: 1})
+	localEng := engine.New(engine.Config{Parallel: 2, Seed: 1})
 	for _, r := range localEng.Run(context.Background(), rowJobs(8)) {
 		want[r.Key] = fmt.Sprint(r.Value)
 	}
 
 	pool := newRemotePool(t, Options{Remote: []string{addr}, Batch: 2})
-	eng := engine.New(engine.Options{Seed: 1, Executor: pool})
+	eng := engine.New(engine.Config{Seed: 1, Executor: pool})
 	results := eng.Run(context.Background(), mkJobs())
 
 	var failed []string
@@ -210,7 +210,7 @@ func TestTCPStalledLinkDeadline(t *testing.T) {
 
 	pool := newRemotePool(t, Options{Remote: []string{proxy.Addr()}, LinkTimeout: 250 * time.Millisecond})
 	start := time.Now()
-	eng := engine.New(engine.Options{Seed: 1, Executor: pool})
+	eng := engine.New(engine.Config{Seed: 1, Executor: pool})
 	results := eng.Run(context.Background(), rowJobs(6))
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("sweep took %v; the deadline did not fire", elapsed)
@@ -250,7 +250,7 @@ func TestTCPSlowCellHeartbeatsKeepLinkAlive(t *testing.T) {
 	jobs := []engine.Job{{Key: "slow/cell", Spec: &engine.Spec{
 		Task: "test/sleep", Args: map[string]string{"ms": "600"}, // 4× the link deadline
 	}}}
-	eng := engine.New(engine.Options{Executor: pool})
+	eng := engine.New(engine.Config{Executor: pool})
 	for _, r := range eng.Run(context.Background(), jobs) {
 		if r.Err != nil {
 			t.Errorf("%s: %v (a slow cell on a live link must not be contained)", r.Key, r.Err)
@@ -272,7 +272,7 @@ func TestTCPCorruptFrameRetiresConnection(t *testing.T) {
 	proxy := newFaultProxy(t, addr, noFaults(), down, true)
 
 	pool := newRemotePool(t, Options{Remote: []string{proxy.Addr()}, LinkTimeout: 500 * time.Millisecond})
-	eng := engine.New(engine.Options{Seed: 1, Executor: pool})
+	eng := engine.New(engine.Config{Seed: 1, Executor: pool})
 	results := eng.Run(context.Background(), rowJobs(8))
 	var failed int
 	for _, r := range results {
@@ -310,7 +310,7 @@ func TestTCPReconnectBudgetDegradesToLocal(t *testing.T) {
 		LinkTimeout: 200 * time.Millisecond,
 	})
 	start := time.Now()
-	eng := engine.New(engine.Options{Seed: 1, Executor: pool})
+	eng := engine.New(engine.Config{Seed: 1, Executor: pool})
 	results := eng.Run(context.Background(), rowJobs(6))
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("sweep took %v; budget exhaustion did not degrade promptly", elapsed)
@@ -340,8 +340,8 @@ func TestTCPReconnectBudgetDegradesToLocal(t *testing.T) {
 // -battery-parallel shape).
 func TestTCPDialRefusedFallsBackGolden(t *testing.T) {
 	dead := deadEndpoint(t)
-	localA := renderSweep(t, engine.Options{Parallel: 2, Seed: 7}, rowJobs(12))
-	localB := renderSweep(t, engine.Options{Parallel: 2, Seed: 31}, rowJobs(9))
+	localA := renderSweep(t, engine.Config{Parallel: 2, Seed: 7}, rowJobs(12))
+	localB := renderSweep(t, engine.Config{Parallel: 2, Seed: 31}, rowJobs(9))
 
 	pool := newRemotePool(t, Options{Remote: []string{dead, dead}})
 	var wg sync.WaitGroup
@@ -349,11 +349,11 @@ func TestTCPDialRefusedFallsBackGolden(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		distA = renderSweep(t, engine.Options{Seed: 7, Executor: pool}, rowJobs(12))
+		distA = renderSweep(t, engine.Config{Seed: 7, Executor: pool}, rowJobs(12))
 	}()
 	go func() {
 		defer wg.Done()
-		distB = renderSweep(t, engine.Options{Seed: 31, Executor: pool}, rowJobs(9))
+		distB = renderSweep(t, engine.Config{Seed: 31, Executor: pool}, rowJobs(9))
 	}()
 	wg.Wait()
 	if distA != localA {
@@ -373,10 +373,10 @@ func TestTCPDialRefusedFallsBackGolden(t *testing.T) {
 // execution; the right token is accepted and stays remote.
 func TestTCPAuthToken(t *testing.T) {
 	addr := startServeWorker(t, ServeOptions{AuthToken: "sesame"})
-	want := renderSweep(t, engine.Options{Parallel: 2, Seed: 7}, rowJobs(6))
+	want := renderSweep(t, engine.Config{Parallel: 2, Seed: 7}, rowJobs(6))
 
 	bad := newRemotePool(t, Options{Remote: []string{addr}, AuthToken: "wrong"})
-	got := renderSweep(t, engine.Options{Seed: 7, Executor: bad}, rowJobs(6))
+	got := renderSweep(t, engine.Config{Seed: 7, Executor: bad}, rowJobs(6))
 	if got != want {
 		t.Errorf("refused-auth fallback diverged:\n%s\nwant:\n%s", got, want)
 	}
@@ -385,7 +385,7 @@ func TestTCPAuthToken(t *testing.T) {
 	}
 
 	good := newRemotePool(t, Options{Remote: []string{addr}, AuthToken: "sesame"})
-	got = renderSweep(t, engine.Options{Seed: 7, Executor: good}, rowJobs(6))
+	got = renderSweep(t, engine.Config{Seed: 7, Executor: good}, rowJobs(6))
 	if got != want {
 		t.Errorf("authed sweep diverged:\n%s\nwant:\n%s", got, want)
 	}
@@ -410,7 +410,7 @@ func TestTCPCancellationClosesLink(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	eng := engine.New(engine.Options{Executor: pool})
+	eng := engine.New(engine.Config{Executor: pool})
 	results := eng.Run(ctx, jobs)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancellation took %v; the remote link was not closed", elapsed)
@@ -461,7 +461,7 @@ func TestRemoteLocalPrefixInterleave(t *testing.T) {
 		rows("quiet/cell"),
 		rows("fallback-2"),
 	}
-	eng := engine.New(engine.Options{Seed: 1, Executor: pool})
+	eng := engine.New(engine.Config{Seed: 1, Executor: pool})
 	for _, r := range eng.Run(context.Background(), jobs) {
 		if r.Err != nil {
 			t.Errorf("%s: %v", r.Key, r.Err)

@@ -1,8 +1,14 @@
 // Package engine is the concurrent sweep runner behind
 // internal/experiments: it fans independent simulation jobs (one per
-// machine config × workload × policy cell) out across a bounded worker
-// pool and streams their results back to an aggregation stage in
-// deterministic job order.
+// machine config × workload × policy cell) out to an Executor and
+// streams their results back to an aggregation stage in deterministic
+// job order.
+//
+// There are two executors. Budget.Executor is the one in-process
+// executor: a budget of cell slots shared by every sweep that runs
+// through it, split fairly across tenants (CLI and benchmark runs are
+// the single tenant ""; the serve daemon names one per client).
+// internal/engine/dist's Pool ships cells to worker processes.
 //
 // Three properties make sweeps safe to parallelize:
 //
@@ -176,9 +182,9 @@ type SweepEnv struct {
 	Catalog *catalog.Catalog
 }
 
-// Executor runs the cells of one sweep. The engine's default executor
-// is the in-process goroutine pool; internal/engine/dist provides one
-// that shards cells across worker processes. The contract:
+// Executor runs the cells of one sweep. The in-process executor is
+// Budget.Executor; internal/engine/dist provides one that shards cells
+// across worker processes. The contract:
 //
 //   - report must be called exactly once per job, with Result.Index and
 //     Result.Key filled in; report is safe for concurrent use.
@@ -195,60 +201,29 @@ type Executor interface {
 	Execute(ctx context.Context, sw SweepEnv, jobs []Job, report func(Result))
 }
 
-// Options configures an Engine. It is the engine-level subset of
-// Config, kept as a thin alias for direct engine construction; code
-// that also distributes or batteries should carry a Config and
-// project it here via Config.Options().
-type Options struct {
-	// Parallel bounds the in-process worker pool; <= 0 means
-	// GOMAXPROCS. Ignored when Executor is set.
-	Parallel int
-	// Seed is the base seed mixed with each job key by sim.SeedFor.
-	Seed uint64
-	// Catalog is the sweep's shared workload catalog, handed to every
-	// job as Env.Catalog. Nil means New creates a fresh one; pass
-	// catalog.Disabled() to force per-cell regeneration (baselines).
-	Catalog *catalog.Catalog
-	// OnProgress, if non-nil, observes the sweep: it is called once
-	// after each cell completes, serialized (never concurrently), with
-	// a fresh Progress snapshot. It must not block for long — workers
-	// wait on it.
-	OnProgress func(Progress)
-	// Executor, if non-nil, replaces the in-process goroutine pool —
-	// the seam internal/engine/dist plugs into to run cells in worker
-	// processes. Output is byte-identical either way.
-	Executor Executor
-}
-
-// Engine is a reusable worker-pool sweep runner. The zero value is not
-// usable; construct with New.
+// Engine is a reusable sweep runner. The zero value is not usable;
+// construct with New.
 type Engine struct {
-	parallel   int
 	seed       uint64
 	catalog    *catalog.Catalog
 	onProgress func(Progress)
 	exec       Executor
 }
 
-// New builds an engine from options.
-func New(o Options) *Engine {
-	p := o.Parallel
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	cat := o.Catalog
+// New builds an engine from the engine-level fields of c: Seed,
+// Catalog (nil means a fresh one), OnProgress, and Executor — nil
+// means a fresh budget of c.Parallel cell slots run as tenant "".
+func New(c Config) *Engine {
+	cat := c.Catalog
 	if cat == nil {
 		cat = catalog.New()
 	}
-	exec := o.Executor
+	exec := c.Executor
 	if exec == nil {
-		exec = poolExecutor{workers: p}
+		exec = NewBudget(c.Parallel, 0).Executor("")
 	}
-	return &Engine{parallel: p, seed: o.Seed, catalog: cat, onProgress: o.OnProgress, exec: exec}
+	return &Engine{seed: c.Seed, catalog: cat, onProgress: c.OnProgress, exec: exec}
 }
-
-// Parallel reports the configured worker count.
-func (e *Engine) Parallel() int { return e.parallel }
 
 // Catalog returns the sweep's shared workload catalog.
 func (e *Engine) Catalog() *catalog.Catalog { return e.catalog }
@@ -287,7 +262,7 @@ func (e *Engine) Stream(ctx context.Context, jobs []Job, emit func(Result)) []Re
 	return results
 }
 
-// sweep runs the pool with no completion notifications.
+// sweep runs the executor with no completion notifications.
 func (e *Engine) sweep(ctx context.Context, jobs []Job, results []Result) {
 	e.sweepNotify(ctx, jobs, results, nil)
 }
@@ -378,65 +353,18 @@ func (e *Engine) sweepNotify(ctx context.Context, jobs []Job, results []Result, 
 	e.exec.Execute(ctx, SweepEnv{Seed: e.seed, Catalog: e.catalog}, jobs, report)
 }
 
-// poolExecutor is the default Executor: a bounded pool of goroutines
-// in the dispatching process pulling cells off a shared feed.
-type poolExecutor struct {
-	workers int
-}
-
-func (p poolExecutor) Execute(ctx context.Context, sw SweepEnv, jobs []Job, report func(Result)) {
-	workers := p.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	feed := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One RNG per worker, reseeded per cell: the sequence each
-			// cell sees depends only on (seed, key), so reuse cannot be
-			// observed — it only drops the per-cell allocation.
-			var rng sim.RNG
-			for i := range feed {
-				report(runJobSeeded(ctx, i, jobs[i], sw.Seed, sw.Catalog, &rng))
-			}
-		}()
-	}
-	for i := range jobs {
-		select {
-		case feed <- i:
-		case <-ctx.Done():
-			// Mark this and all remaining jobs as cancelled; workers
-			// drain nothing further.
-			for j := i; j < len(jobs); j++ {
-				report(Result{Key: jobs[j].Key, Index: j, Err: ctx.Err()})
-			}
-			close(feed)
-			wg.Wait()
-			return
-		}
-	}
-	close(feed)
-	wg.Wait()
-}
-
 // RunJob executes a single job in-process under the engine's standard
 // per-job contract: RNG seeded from (seed, job key) via sim.SeedFor —
 // never from scheduling — and panic containment, so a dying cell
-// becomes a failed Result instead of sinking the sweep. Both the
-// default in-process pool and the dist dispatcher's local fallback run
-// cells through here.
+// becomes a failed Result instead of sinking the sweep. The dist
+// dispatcher's local fallback runs cells through here; the budget's
+// workers use runJobSeeded directly.
 func RunJob(ctx context.Context, index int, job Job, seed uint64, cat *catalog.Catalog) (res Result) {
 	var rng sim.RNG
 	return runJobSeeded(ctx, index, job, seed, cat, &rng)
 }
 
-// runJobSeeded is RunJob with a caller-owned RNG: the pool workers
+// runJobSeeded is RunJob with a caller-owned RNG: budget workers
 // hold one generator each and reseed it per cell, so steady-state cell
 // dispatch does not allocate. The sequence a cell draws depends only
 // on (seed, job.Key) either way.

@@ -19,7 +19,7 @@ import (
 // any leakage of scheduling order into seeding would change the text.
 func sweepTable(t *testing.T, parallel int, seed uint64) string {
 	t.Helper()
-	eng := New(Options{Parallel: parallel, Seed: seed})
+	eng := New(Config{Parallel: parallel, Seed: seed})
 	jobs := make([]Job, 24)
 	for i := range jobs {
 		key := fmt.Sprintf("cell-%d", i)
@@ -59,7 +59,7 @@ func TestSeedingIndependentOfOrder(t *testing.T) {
 	// position in the job slice.
 	draw := func(jobs []Job, wantKey string) uint64 {
 		t.Helper()
-		eng := New(Options{Parallel: 4, Seed: 3})
+		eng := New(Config{Parallel: 4, Seed: 3})
 		for _, r := range eng.Run(context.Background(), jobs) {
 			if r.Key == wantKey {
 				return r.Value.(uint64)
@@ -81,7 +81,7 @@ func TestSeedingIndependentOfOrder(t *testing.T) {
 }
 
 func TestPanicIsolation(t *testing.T) {
-	eng := New(Options{Parallel: 4})
+	eng := New(Config{Parallel: 4})
 	jobs := make([]Job, 9)
 	for i := range jobs {
 		i := i
@@ -128,7 +128,7 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 func TestErrorAbortsTableAndCancelsRemainingCells(t *testing.T) {
-	eng := New(Options{Parallel: 1})
+	eng := New(Config{Parallel: 1})
 	var ranFirst atomic.Bool
 	var lateOutcome atomic.Value
 	jobs := []Job{
@@ -168,7 +168,7 @@ func TestErrorAbortsTableAndCancelsRemainingCells(t *testing.T) {
 }
 
 func TestCancellation(t *testing.T) {
-	eng := New(Options{Parallel: 2})
+	eng := New(Config{Parallel: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var once sync.Once
@@ -211,7 +211,7 @@ func TestCancellation(t *testing.T) {
 }
 
 func TestStreamEmitsInJobOrder(t *testing.T) {
-	eng := New(Options{Parallel: 8})
+	eng := New(Config{Parallel: 8})
 	const n = 50
 	jobs := make([]Job, n)
 	for i := range jobs {
@@ -237,7 +237,7 @@ func TestStreamEmitsInJobOrder(t *testing.T) {
 }
 
 func TestZeroJobs(t *testing.T) {
-	eng := New(Options{})
+	eng := New(Config{})
 	if got := eng.Run(context.Background(), nil); len(got) != 0 {
 		t.Errorf("Run(nil) = %d results", len(got))
 	}
@@ -252,7 +252,7 @@ func TestZeroJobs(t *testing.T) {
 // any parallelism.
 func TestSharedCatalogMaterializesOnce(t *testing.T) {
 	for _, parallel := range []int{1, 8} {
-		eng := New(Options{Parallel: parallel, Seed: 1})
+		eng := New(Config{Parallel: parallel, Seed: 1})
 		var gens atomic.Int64
 		jobs := make([]Job, 16)
 		for i := range jobs {
@@ -284,7 +284,7 @@ func TestSharedCatalogMaterializesOnce(t *testing.T) {
 // workload becomes a FAILED row, cells on other workloads succeed, and
 // the sweep completes rather than wedging.
 func TestPoisonedCatalogEntrySurfacesAsFailedCells(t *testing.T) {
-	eng := New(Options{Parallel: 4, Seed: 1})
+	eng := New(Config{Parallel: 4, Seed: 1})
 	const cells = 12
 	jobs := make([]Job, cells)
 	for i := range jobs {
@@ -354,11 +354,11 @@ func TestPoisonedCatalogEntrySurfacesAsFailedCells(t *testing.T) {
 // TestProgressReporting: the observer sees monotone done counts ending
 // at total, with failures attributed.
 func TestProgressReporting(t *testing.T) {
-	eng := New(Options{Parallel: 4, OnProgress: nil})
+	eng := New(Config{Parallel: 4, OnProgress: nil})
 	_ = eng // the nil-observer path is exercised by every other test
 	var snaps []Progress
 	var mu sync.Mutex
-	eng = New(Options{Parallel: 4, OnProgress: func(p Progress) {
+	eng = New(Config{Parallel: 4, OnProgress: func(p Progress) {
 		mu.Lock()
 		defer mu.Unlock()
 		snaps = append(snaps, p)
@@ -474,7 +474,7 @@ func TestProgressString(t *testing.T) {
 func TestProgressCarriesCatalogStats(t *testing.T) {
 	var mu sync.Mutex
 	var last Progress
-	eng := New(Options{Parallel: 2, OnProgress: func(p Progress) {
+	eng := New(Config{Parallel: 2, OnProgress: func(p Progress) {
 		mu.Lock()
 		defer mu.Unlock()
 		last = p
@@ -504,7 +504,7 @@ func TestOnProgressUnderCancellation(t *testing.T) {
 	const n = 8
 	var mu sync.Mutex
 	var snaps []Progress
-	eng := New(Options{Parallel: 2, OnProgress: func(p Progress) {
+	eng := New(Config{Parallel: 2, OnProgress: func(p Progress) {
 		mu.Lock()
 		defer mu.Unlock()
 		snaps = append(snaps, p)
@@ -563,7 +563,7 @@ func TestCellExecutionAllocsBounded(t *testing.T) {
 				return nil, nil
 			}}
 	}
-	eng := New(Options{Parallel: 1})
+	eng := New(Config{Parallel: 1})
 	eng.Run(context.Background(), jobs) // warm any lazily-built state
 	allocs := testing.AllocsPerRun(10, func() {
 		if results := eng.Run(context.Background(), jobs); len(results) != cells {

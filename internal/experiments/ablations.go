@@ -28,7 +28,7 @@ var a1Def = registerSweep("a1",
 		"waiting time", "elapsed"},
 	a1Cells)
 
-func a1Cells(sc runConfig) []cell {
+func a1Cells(sc Config) []cell {
 	const pageSize = 256
 	reserves := []int{0, 1, 2}
 	cells := make([]cell, len(reserves))
@@ -83,7 +83,7 @@ var a2Def = registerSweep("a2",
 		"probes/alloc", "free blocks at end"},
 	a2Cells)
 
-func a2Cells(sc runConfig) []cell {
+func a2Cells(sc Config) []cell {
 	modes := []struct {
 		name string
 		mode alloc.Mode
@@ -159,7 +159,7 @@ var a3Def = registerSweep("a3",
 		"words moved", "elapsed"},
 	a3Cells)
 
-func a3Cells(sc runConfig) []cell {
+func a3Cells(sc Config) []cell {
 	cells := make([]cell, 2)
 	for i, compact := range []bool{false, true} {
 		compact := compact
@@ -235,7 +235,7 @@ var a4Def = registerSweep("a4",
 		"free blocks / allocated blocks"},
 	a4Cells)
 
-func a4Cells(sc runConfig) []cell {
+func a4Cells(sc Config) []cell {
 	const heapWords = 65536
 	fracs := []int{512, 128, 32, 16, 8}
 	cells := make([]cell, len(fracs))
@@ -334,7 +334,7 @@ var a5Def = registerSweep("a5",
 	[]string{"refs per switch", "hit ratio", "extra cycles/ref"},
 	a5Cells)
 
-func a5Cells(sc runConfig) []cell {
+func a5Cells(sc Config) []cell {
 	const segs = 8
 	periods := []int{0, 10000, 1000, 100, 10}
 	cells := make([]cell, len(periods))
@@ -388,7 +388,7 @@ var a6Def = registerSweep("a6",
 		"writebacks", "elapsed"},
 	a6Cells)
 
-func a6Cells(sc runConfig) []cell {
+func a6Cells(sc Config) []cell {
 	tlbs := []int{0, 2, 9, 16, 44}
 	cells := make([]cell, len(tlbs))
 	for i, tlb := range tlbs {

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"dsa/internal/engine"
 	"dsa/internal/engine/battery"
@@ -17,17 +15,16 @@ import (
 // namedExperiment pairs an experiment's canonical CLI name with its
 // table function. The function takes the invocation's cancellation
 // context and configuration explicitly, so concurrent batteries (the
-// serve daemon's tenants) never race on the process-global config; the
-// exported per-experiment wrappers (T1Replacement, ...) bind these to
-// the global snapshot.
+// serve daemon's tenants) share no state; the exported per-experiment
+// wrappers (T1Replacement, ...) bind them to the zero Config.
 type namedExperiment struct {
 	name string
-	fn   func(ctx context.Context, sc runConfig) (*metrics.Table, error)
+	fn   func(ctx context.Context, sc Config) (*metrics.Table, error)
 }
 
 // allExperiments is the canonical battery: every experiment in the
-// paper's presentation order. Run emits tables in this order no matter
-// how the battery scheduler interleaves the sweeps.
+// paper's presentation order. StreamConfig emits tables in this order
+// no matter how the battery scheduler interleaves the sweeps.
 var allExperiments = []namedExperiment{
 	{"t0", t0Def.runCtx},
 	{"fig1", fig1Def.runCtx},
@@ -93,107 +90,65 @@ func Resolve(name string) (string, error) {
 	return e.name, nil
 }
 
-// All runs the whole experiment battery and returns the tables in the
-// paper's order. It is Run with no names.
-func All() ([]*metrics.Table, error) { return Run() }
-
-// Run executes the named experiments (all of them when names is empty)
-// as one battery and returns their tables in the order asked for. It
-// is Stream collecting into a slice; see Stream for the battery
-// semantics.
-func Run(names ...string) ([]*metrics.Table, error) {
-	var out []*metrics.Table
-	if err := Stream(func(t *metrics.Table) { out = append(out, t) }, names...); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Stream executes the named experiments (all of them when names is
-// empty) as one battery, calling emit once per experiment in the order
-// asked for, each as soon as that prefix of the battery has completed
-// — so cmd/dsafig prints tables while later sweeps still run.
-//
-// The whole battery shares one workload store: each sweep's catalog
-// becomes a child scope, so any workload key declared by more than one
-// sweep — and, with a disk-backed store installed via UseStore, any
-// workload cached by an earlier run — materializes once. When the
-// caller (cmd/dsafig) has already installed a store, battery scoping
-// is its concern; otherwise an in-memory one is installed for the
-// duration of this battery.
-//
-// With ConfigureBattery(n > 1) the sweeps themselves run concurrently
-// — up to n in flight — over one shared executor (the installed
-// dist.Pool, or a battery-wide cell pool bounded by the Configure
-// parallelism), with tables re-emitted in canonical order, so output
-// is byte-identical to a serial battery. A sweep that fails with an
-// ordinary error aborts the battery, as in a serial run: in-flight
-// sweeps finish, sweeps not yet started are skipped, and what has
-// been emitted is always a correct canonical prefix — ending at the
-// first failed or skipped slot, which the abort may place before the
-// failing sweep's own slot (a serial battery would have emitted up to
-// the failure; the concurrent abort trades that tail for not running
-// doomed sweeps). Panicking cells inside a sweep remain contained as
-// FAILED rows either way.
-func Stream(emit func(*metrics.Table), names ...string) error {
-	return stream(context.Background(), snapshot(), emit, names...)
-}
-
-// Config is a per-invocation battery configuration — the explicit
-// counterpart of the process-global Configure/UseStore/UseExecutor/
-// UseCosts state, for callers that run batteries concurrently with
-// distinct settings (the serve daemon runs one battery per tenant job,
-// each with its own seed and child store, over one shared executor).
-// The zero value means: GOMAXPROCS cell workers, serial battery,
-// paper-exact seed, a fresh in-memory store for the invocation, the
-// in-process executor, no cost manifest, no observers.
+// Config is one battery invocation's configuration. The zero value
+// means: GOMAXPROCS cell slots, serial battery, paper-exact seed, a
+// fresh in-memory store for the invocation, no cost manifest, no
+// observers. Cell builders read only Seed, so the same Config rebuilds
+// the same cells in any process. CLI runs build one from their flags
+// with cliflags.Sweep.Battery; the serve daemon builds one per job.
 type Config struct {
-	// Parallel bounds in-process cell workers per sweep (<= 0 means
-	// GOMAXPROCS); ignored when Executor is set.
+	// Parallel is the number of in-process cell slots shared by every
+	// sweep of the battery (<= 0 means GOMAXPROCS); ignored when
+	// Executor is set.
 	Parallel int
 	// BatteryParallel bounds how many whole sweeps run concurrently
 	// (<= 1 serial). Byte-identical at any value.
 	BatteryParallel int
-	// Seed is the base workload seed (0 = paper-exact).
+	// Seed is the base workload seed. With 0 every experiment uses its
+	// historical fixed workload seeds and reproduces the paper-exact
+	// tables; any other value re-derives every workload seed (and its
+	// catalog key) through sim.SeedFor, a fresh but equally
+	// reproducible scenario.
 	Seed uint64
-	// Store is the battery-scoped workload store; nil installs a fresh
-	// in-memory one for this invocation only.
+	// Store is the battery-scoped workload store: every sweep's catalog
+	// is a child scope of it, so a workload shared across sweeps — or
+	// replayed from the store's disk layer — materializes once. Nil
+	// installs a fresh in-memory one for this invocation only. Values
+	// never change: tables are byte-identical with or without it.
 	Store *catalog.Catalog
-	// Executor, if non-nil, replaces the in-process cell pool (a
-	// dist.Pool, a battery.Pool, or the serve daemon's tenant-budgeted
-	// executor).
+	// Executor, if non-nil, runs every sweep's cells: a dist.Pool, or
+	// one tenant's executor of a shared engine.Budget (the serve
+	// daemon). Nil means tenant "" of a fresh engine.Budget of Parallel
+	// slots for this invocation.
 	Executor engine.Executor
-	// Costs, if non-nil, records each sweep's observed wall-clock time
-	// and feeds longest-first scheduling under BatteryParallel > 1.
+	// Costs, if non-nil, records each successful sweep's observed
+	// wall-clock time and feeds longest-first scheduling under
+	// BatteryParallel > 1. Scheduling never changes output bytes.
 	Costs *battery.CostManifest
 	// OnProgress observes per-sweep engine progress; OnBatteryProgress
-	// observes the aggregated battery view (BatteryParallel > 1).
+	// observes the aggregated battery view (sweeps done/running, cells
+	// across every started sweep, the store's traffic, ETA).
 	OnProgress        func(sweep string, p engine.Progress)
 	OnBatteryProgress func(battery.Progress)
 }
 
-// StreamConfig is Stream under an explicit configuration and
-// cancellation context: it executes the named experiments (all of them
-// when names is empty) as one battery with exactly Stream's ordering
-// and abort semantics, without reading or mutating the process-global
-// config — so concurrent invocations cannot tear each other. Cancelling
-// ctx aborts the battery: cells not yet started report the context
-// error and the first failure is returned.
+// StreamConfig executes the named experiments (all of them when names
+// is empty) as one battery under c, calling emit once per experiment
+// in the order asked for, each as soon as that prefix of the battery
+// has completed — so cmd/dsafig prints tables while later sweeps still
+// run. Invocations share no state, so concurrent batteries with
+// distinct settings cannot tear each other.
+//
+// Up to c.BatteryParallel sweeps run at once over one executor, with
+// tables re-emitted in canonical order, so output is byte-identical to
+// a serial battery. A sweep that fails with an ordinary error aborts
+// the battery exactly as a serial run would at any width: sweeps
+// declared after it are cancelled or skipped, sweeps declared before
+// it still run and emit, and its error is returned. Panicking cells
+// inside a sweep remain contained as FAILED rows. Cancelling ctx
+// aborts the battery: cells not yet started report the context error
+// and the first failure is returned.
 func StreamConfig(ctx context.Context, c Config, emit func(*metrics.Table), names ...string) error {
-	return stream(ctx, runConfig{
-		parallel:        c.Parallel,
-		batteryParallel: c.BatteryParallel,
-		seed:            c.Seed,
-		observe:         c.OnProgress,
-		bobserve:        c.OnBatteryProgress,
-		executor:        c.Executor,
-		store:           c.Store,
-		costs:           c.Costs,
-	}, emit, names...)
-}
-
-// stream is the shared battery body behind Stream and StreamConfig.
-func stream(ctx context.Context, sc runConfig, emit func(*metrics.Table), names ...string) error {
 	list := allExperiments
 	if len(names) > 0 {
 		list = make([]namedExperiment, len(names))
@@ -205,51 +160,23 @@ func stream(ctx context.Context, sc runConfig, emit func(*metrics.Table), names 
 			list[i] = e
 		}
 	}
-	if sc.store == nil {
-		// Battery-scoped store for this invocation only, so sweeps
-		// still share workloads across experiments.
-		sc.store = catalog.New()
+	if c.Store == nil {
+		c.Store = catalog.New()
 	}
-	if sc.batteryParallel <= 1 {
-		for _, e := range list {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			start := time.Now()
-			tb, err := e.fn(ctx, sc)
-			if err != nil {
-				return err
-			}
-			sc.costs.Record(e.name, time.Since(start))
-			emit(tb)
-		}
-		return nil
-	}
-	return runConcurrentBattery(ctx, sc, list, emit)
-}
-
-// runConcurrentBattery fans whole sweeps across the battery scheduler.
-func runConcurrentBattery(ctx context.Context, sc runConfig, list []namedExperiment, emit func(*metrics.Table)) error {
-	// One shared executor for every sweep of the battery. A dist pool
-	// installed via UseExecutor already is one (its worker processes
-	// bound total cell concurrency and persist across sweeps); without
-	// one, install a battery-wide cell pool so the Configure
-	// parallelism bounds cells in flight across all sweeps, not per
-	// sweep.
-	if sc.executor == nil {
-		sc.executor = battery.NewPool(sc.parallel)
+	if c.Executor == nil {
+		// One budget for the whole battery, so Parallel bounds cells in
+		// flight across all sweeps, not per sweep.
+		c.Executor = engine.NewBudget(c.Parallel, 0).Executor("")
 	}
 
 	// Aggregate per-sweep engine progress battery-wide when someone is
 	// watching; the per-sweep observer, if any, still sees every
-	// snapshot. The teeing observer rides this invocation's config —
-	// never the process globals — so concurrent batteries each keep
-	// their own tracker.
+	// snapshot.
 	var tracker *battery.Tracker
-	if sc.bobserve != nil {
-		tracker = battery.NewTracker(len(list), sc.store.Stats, sc.bobserve)
-		prev := sc.observe
-		sc.observe = func(sweep string, p engine.Progress) {
+	if c.OnBatteryProgress != nil {
+		tracker = battery.NewTracker(len(list), c.Store.Stats, c.OnBatteryProgress)
+		prev := c.OnProgress
+		c.OnProgress = func(sweep string, p engine.Progress) {
 			tracker.Observe(sweep, p)
 			if prev != nil {
 				prev(sweep, p)
@@ -257,44 +184,34 @@ func runConcurrentBattery(ctx context.Context, sc runConfig, list []namedExperim
 		}
 	}
 
-	// The first sweep to fail cancels the battery the moment it fails
-	// (not when its slot comes up in emission order), so sweeps not yet
-	// started are skipped — the serial abort contract, minus the work
-	// already in flight.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var errMu sync.Mutex
-	var firstErr error
+	ab := &abort{failed: len(list), cancels: make([]context.CancelFunc, len(list))}
 	units := make([]battery.Unit, len(list))
 	for i, e := range list {
-		e := e
-		units[i] = battery.Unit{Name: e.name, Run: func(uctx context.Context) (interface{}, error) {
-			tb, err := e.fn(uctx, sc)
+		i, e := i, e
+		units[i] = battery.Unit{Name: e.name, Run: func(ctx context.Context) (interface{}, error) {
+			ctx, cancel, ok := ab.start(ctx, i)
+			if !ok {
+				return nil, context.Canceled
+			}
+			defer cancel()
+			tb, err := e.fn(ctx, c)
 			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				cancel()
+				ab.fail(i)
 			}
 			return tb, err
 		}}
 	}
 	failed := false
 	results := battery.Run(ctx, units,
-		battery.Options{Parallel: sc.batteryParallel, Tracker: tracker, Costs: sc.costs.Cost},
+		battery.Options{Parallel: c.BatteryParallel, Tracker: tracker, Costs: c.Costs.Cost},
 		func(r battery.Result) {
-			// Ordered emission: stop at the first failed slot, exactly
-			// where the serial loop would have stopped.
-			if failed {
-				return
-			}
+			// Ordered emission stops at the first failed slot.
 			if r.Err != nil {
 				failed = true
-				return
 			}
-			emit(r.Value.(*metrics.Table))
+			if !failed {
+				emit(r.Value.(*metrics.Table))
+			}
 		})
 	// Feed observed sweep times back into the manifest so the next
 	// battery schedules longest-first from real measurements. Failed or
@@ -302,22 +219,53 @@ func runConcurrentBattery(ctx context.Context, sc runConfig, list []namedExperim
 	// nothing about a successful run's cost.
 	for _, r := range results {
 		if r.Err == nil {
-			sc.costs.Record(r.Name, r.Elapsed)
+			c.Costs.Record(r.Name, r.Elapsed)
 		}
 	}
-	errMu.Lock()
-	defer errMu.Unlock()
-	// Report the battery-order-first real failure — the error a serial
-	// battery would have returned, in the serial battery's bare shape
-	// (cell errors already name their sweep through the cell key) —
-	// not the chronologically-first one; skip the cancellation markers
-	// our own abort painted onto sweeps ordered before it. firstErr
-	// remains the fallback in case every ordered error is a
-	// cancellation (it is what triggered them).
+	// The first failure in battery order is the error a serial battery
+	// returns: nothing before it was cancelled.
 	for _, r := range results {
-		if r.Err != nil && !errors.Is(r.Err, context.Canceled) {
+		if r.Err != nil {
 			return r.Err
 		}
 	}
-	return firstErr
+	return nil
+}
+
+// abort is a battery's failure rule: the first failing sweep cancels
+// only the sweeps declared after it, whether they are running or not
+// yet started, so every sweep before it still runs and emits — at any
+// width, the prefix a serial battery emits.
+type abort struct {
+	mu      sync.Mutex
+	failed  int // lowest failed sweep index; the sweep count if none
+	cancels []context.CancelFunc
+}
+
+// start derives sweep i's context, or reports false when a sweep
+// declared before i has already failed.
+func (a *abort) start(ctx context.Context, i int) (context.Context, context.CancelFunc, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if i > a.failed {
+		return nil, nil, false
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	a.cancels[i] = cancel
+	return ctx, cancel, true
+}
+
+// fail records that sweep i failed and cancels every sweep after it.
+func (a *abort) fail(i int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if i >= a.failed {
+		return
+	}
+	a.failed = i
+	for _, cancel := range a.cancels[i+1:] {
+		if cancel != nil {
+			cancel()
+		}
+	}
 }

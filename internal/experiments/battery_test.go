@@ -1,34 +1,21 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"dsa/internal/engine"
 	"dsa/internal/engine/battery"
+	"dsa/internal/metrics"
 	"dsa/internal/workload/catalog"
 )
-
-// renderBattery runs the full battery at the given battery-level
-// concurrency and renders every table the way cmd/dsafig prints them.
-func renderBattery(t *testing.T, batteryParallel, parallel int) string {
-	t.Helper()
-	Configure(parallel, 0)
-	ConfigureBattery(batteryParallel)
-	defer Configure(0, 0)
-	tables, err := All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	for _, tb := range tables {
-		fmt.Fprintln(&b, tb)
-	}
-	return b.String()
-}
 
 // TestBatteryParallelMatchesSerialGolden is the tentpole acceptance:
 // whole sweeps running concurrently over one shared executor must
@@ -41,7 +28,7 @@ func TestBatteryParallelMatchesSerialGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bp := range []int{2, 4, 20} {
-		got := renderBattery(t, bp, 4)
+		got := render(t, Config{Parallel: 4, BatteryParallel: bp})
 		if got != string(want) {
 			t.Errorf("battery-parallel=%d diverged from serial golden baseline\n"+
 				"got %d bytes, want %d bytes\nfirst divergence: %s",
@@ -64,9 +51,7 @@ func TestBatteryParallelThroughDistPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := newBatchWorkerPool(t, 2, 4)
-	UseExecutor(pool)
-	defer UseExecutor(nil)
-	got := renderBattery(t, 3, 0)
+	got := render(t, Config{BatteryParallel: 3, Executor: pool})
 	if got != string(want) {
 		t.Errorf("battery through a shared dist pool diverged from golden\n"+
 			"got %d bytes, want %d bytes\nfirst divergence: %s",
@@ -85,12 +70,7 @@ func TestBatteryParallelThroughDistPool(t *testing.T) {
 func TestBatteryNoDuplicateGenerations(t *testing.T) {
 	generations := func(bp int) int {
 		store := catalog.New()
-		UseStore(store)
-		defer UseStore(nil)
-		Configure(4, 0)
-		ConfigureBattery(bp)
-		defer Configure(0, 0)
-		if _, err := All(); err != nil {
+		if _, err := runTables(Config{Parallel: 4, BatteryParallel: bp, Store: store}); err != nil {
 			t.Fatal(err)
 		}
 		return store.Stats().Generations
@@ -119,13 +99,7 @@ func TestBatteryPoisonedSweepOthersComplete(t *testing.T) {
 		catalog.Get(store, fmt.Sprintf("t1/page-string/working-set@%x", uint64(5)),
 			func() (int, error) { panic("poisoned workload") })
 	}()
-	UseStore(store)
-	defer UseStore(nil)
-	Configure(4, 0)
-	ConfigureBattery(3)
-	defer Configure(0, 0)
-
-	tables, err := Run("t1", "t4", "t8", "a2")
+	tables, err := runTables(Config{Parallel: 4, BatteryParallel: 3, Store: store}, "t1", "t4", "t8", "a2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +112,7 @@ func TestBatteryPoisonedSweepOthersComplete(t *testing.T) {
 	}
 	// The untouched sweeps must match their solo serial renders.
 	for i, name := range []string{"t4", "t8", "a2"} {
-		Configure(0, 0)
-		want, err := Run(name)
+		want, err := runTables(Config{}, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,21 +129,18 @@ func TestBatteryPoisonedSweepOthersComplete(t *testing.T) {
 	}
 }
 
-// TestBatteryProgressAggregation: ObserveBattery receives battery-wide
-// snapshots whose final state accounts every sweep and cell.
+// TestBatteryProgressAggregation: OnBatteryProgress receives
+// battery-wide snapshots whose final state accounts every sweep and
+// cell.
 func TestBatteryProgressAggregation(t *testing.T) {
 	var mu sync.Mutex
 	var last battery.Progress
-	ObserveBattery(func(p battery.Progress) {
+	observe := func(p battery.Progress) {
 		mu.Lock()
 		last = p
 		mu.Unlock()
-	})
-	defer ObserveBattery(nil)
-	Configure(2, 0)
-	ConfigureBattery(2)
-	defer Configure(0, 0)
-	if _, err := Run("t1", "t4", "a2"); err != nil {
+	}
+	if _, err := runTables(Config{Parallel: 2, BatteryParallel: 2, OnBatteryProgress: observe}, "t1", "t4", "a2"); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -190,14 +160,15 @@ func TestBatteryProgressAggregation(t *testing.T) {
 // TestRunUnknownExperiment: an unknown name fails up front, before any
 // sweep runs.
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("t1", "no-such-thing"); err == nil ||
+	if _, err := runTables(Config{}, "t1", "no-such-thing"); err == nil ||
 		!strings.Contains(err.Error(), `unknown experiment "no-such-thing"`) {
 		t.Errorf("err = %v, want unknown experiment", err)
 	}
 }
 
 // TestNamesCoverCanonicalBattery: the canonical name list drives both
-// All() and the CLI; it must resolve and stay in battery order.
+// the full battery and the CLI; it must resolve and stay in battery
+// order.
 func TestNamesCoverCanonicalBattery(t *testing.T) {
 	names := Names()
 	if len(names) != 20 {
@@ -209,6 +180,71 @@ func TestNamesCoverCanonicalBattery(t *testing.T) {
 	for _, n := range names {
 		if _, err := byName(strings.ToUpper(n)); err != nil {
 			t.Errorf("canonical name %q does not resolve case-insensitively: %v", n, err)
+		}
+	}
+}
+
+// failingDef is a test-only sweep whose third cell returns an ordinary
+// error, which aborts its table.
+var failingDef = registerSweep("test-fail", "test — failing sweep", []string{"cell"}, func(Config) []cell {
+	cells := make([]cell, 4)
+	for i := range cells {
+		i := i
+		cells[i] = cell{key: fmt.Sprintf("test-fail/%d", i), run: func(engine.Env) (engine.RowBatch, error) {
+			if i == 2 {
+				return nil, errors.New("boom")
+			}
+			return oneRow(i), nil
+		}}
+	}
+	return cells
+})
+
+// TestBatteryFailureParity: a sweep failing with an ordinary error
+// mid-battery aborts a concurrent battery exactly as it aborts a
+// serial one — every sweep declared before it still runs and emits its
+// golden table, nothing after it emits, and the failing sweep's error
+// comes back — at every battery width. A recorded cost makes the
+// concurrent batteries start the failing sweep first, so it fails
+// while the sweeps declared before it are still queued.
+func TestBatteryFailureParity(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "all_tables.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 10 // after t5
+	canonical := allExperiments
+	allExperiments = append(append(append([]namedExperiment(nil), canonical[:at]...),
+		namedExperiment{"test-fail", failingDef.runCtx}), canonical[at:]...)
+	defer func() { allExperiments = canonical }()
+
+	run := func(bp int) (string, int, error) {
+		var b strings.Builder
+		n := 0
+		costs := battery.LoadCosts("")
+		costs.Record("test-fail", time.Hour)
+		err := StreamConfig(context.Background(), Config{Parallel: 2, BatteryParallel: bp, Costs: costs}, func(tb *metrics.Table) {
+			n++
+			fmt.Fprintln(&b, tb)
+		})
+		return b.String(), n, err
+	}
+	serial, n, serialErr := run(1)
+	if serialErr == nil || !strings.Contains(serialErr.Error(), "cell test-fail/2: boom") {
+		t.Fatalf("serial battery error = %v, want the failing cell's", serialErr)
+	}
+	if n != at || !strings.HasPrefix(string(golden), serial) {
+		t.Fatalf("serial battery emitted %d tables, want the %d golden tables before the failing sweep\nfirst divergence: %s",
+			n, at, firstDiff(serial, string(golden)))
+	}
+	for _, bp := range []int{2, 4, 20} {
+		got, _, err := run(bp)
+		if err == nil || err.Error() != serialErr.Error() {
+			t.Errorf("battery-parallel=%d: error = %v, want %v", bp, err, serialErr)
+		}
+		if got != serial {
+			t.Errorf("battery-parallel=%d emitted %d bytes, serial %d\nfirst divergence: %s",
+				bp, len(got), len(serial), firstDiff(got, serial))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -17,16 +18,14 @@ import (
 // shared materialization, catalog.Disabled for the old per-cell
 // regeneration. Workers are pinned to 1 so the benchmark compares
 // total work, not scheduling luck.
-func benchSweep(b *testing.B, mk func() *catalog.Catalog, fn func() (*metrics.Table, error)) {
+func benchSweep(b *testing.B, mk func() *catalog.Catalog, fn func(Config) (*metrics.Table, error)) {
 	b.Helper()
-	Configure(1, 0)
-	defer Configure(0, 0)
 	old := newSweepCatalog
 	newSweepCatalog = mk
 	defer func() { newSweepCatalog = old }()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb, err := fn()
+		tb, err := fn(Config{Parallel: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -36,14 +35,19 @@ func benchSweep(b *testing.B, mk func() *catalog.Catalog, fn func() (*metrics.Ta
 	}
 }
 
+// sweepRunner runs a registered table sweep on its own, outside any
+// battery, under the given config.
+func sweepRunner(d *sweepDef) func(Config) (*metrics.Table, error) {
+	return func(c Config) (*metrics.Table, error) { return d.runCtx(context.Background(), c) }
+}
+
 // scaledReplacementSweep is the battery's largest sweep shape scaled to
 // the ROADMAP's production ambitions: one long working-set trace
 // declared as a catalog key by every frame-count cell. With the shared
 // catalog the trace is materialized once; with per-cell regeneration
 // each of the six cells pays the full generation again — the cost this
 // PR deletes.
-func scaledReplacementSweep() (*metrics.Table, error) {
-	sc := snapshot()
+func scaledReplacementSweep(sc Config) (*metrics.Table, error) {
 	const pageSize = 256
 	const refs = 400000
 	frameCounts := []int{4, 8, 12, 16, 24, 32}
@@ -90,20 +94,20 @@ func BenchmarkScaledSweepPerCellRegen(b *testing.B) {
 // cells over 3 request streams — shared, each stream generates once;
 // regenerating, 18 times).
 func BenchmarkT2PlacementSharedCatalog(b *testing.B) {
-	benchSweep(b, catalog.New, T2Placement)
+	benchSweep(b, catalog.New, sweepRunner(t2Def))
 }
 
 func BenchmarkT2PlacementPerCellRegen(b *testing.B) {
-	benchSweep(b, catalog.Disabled, T2Placement)
+	benchSweep(b, catalog.Disabled, sweepRunner(t2Def))
 }
 
 // BenchmarkT1ReplacementSharedCatalog vs PerCellRegen: the battery's
 // trace-heaviest sweep (9 cells over 3 traces, with a 30000-reference
 // working-set trace among them).
 func BenchmarkT1ReplacementSharedCatalog(b *testing.B) {
-	benchSweep(b, catalog.New, T1Replacement)
+	benchSweep(b, catalog.New, sweepRunner(t1Def))
 }
 
 func BenchmarkT1ReplacementPerCellRegen(b *testing.B) {
-	benchSweep(b, catalog.Disabled, T1Replacement)
+	benchSweep(b, catalog.Disabled, sweepRunner(t1Def))
 }

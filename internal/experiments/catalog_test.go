@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -31,9 +32,7 @@ func TestSweepMaterializesEachWorkloadOnce(t *testing.T) {
 				cat = c
 			}
 		}, func() {
-			Configure(parallel, 0)
-			defer Configure(0, 0)
-			if _, err := T1Replacement(); err != nil {
+			if _, err := t1Def.runCtx(context.Background(), Config{Parallel: parallel}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -65,9 +64,7 @@ func TestNonzeroSeedRederivesCatalogKeys(t *testing.T) {
 				cat = c
 			}
 		}, func() {
-			Configure(2, seed)
-			defer Configure(0, 0)
-			if _, err := T1Replacement(); err != nil {
+			if _, err := t1Def.runCtx(context.Background(), Config{Parallel: 2, Seed: seed}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -86,7 +83,7 @@ func TestNonzeroSeedRederivesCatalogKeys(t *testing.T) {
 
 	alt := keysAt(99)
 	// Seed 99: every key re-derives through sim.SeedFor — exactly the
-	// derivation runConfig.seeded performs.
+	// derivation Config.seeded performs.
 	wantAlt := fmt.Sprintf("t1/page-string/working-set@%x", sim.SeedFor(99, "workload-seed:5"))
 	found := false
 	for _, k := range alt {
@@ -106,18 +103,15 @@ func TestNonzeroSeedRederivesCatalogKeys(t *testing.T) {
 	}
 }
 
-// TestBatteryStoreSharesAcrossSweeps: with a battery-scoped store
-// installed, a sweep run twice (dsafig `t1 t1`) regenerates nothing
-// the second time — every workload request is a store hit — and the
-// tables stay byte-identical.
+// TestBatteryStoreSharesAcrossSweeps: with a battery-scoped store, a
+// sweep run twice (dsafig `t1 t1`) regenerates nothing the second time
+// — every workload request is a store hit — and the tables stay
+// byte-identical.
 func TestBatteryStoreSharesAcrossSweeps(t *testing.T) {
 	store := catalog.New()
-	UseStore(store)
-	defer UseStore(nil)
-	Configure(4, 0)
-	defer Configure(0, 0)
+	c := Config{Parallel: 4, Store: store}
 
-	first, err := T1Replacement()
+	first, err := t1Def.runCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +126,7 @@ func TestBatteryStoreSharesAcrossSweeps(t *testing.T) {
 			sweepCat = c
 		}
 	}, func() {
-		second, err := T1Replacement()
+		second, err := t1Def.runCtx(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,9 +159,7 @@ func TestAllColdVsWarmDiskStore(t *testing.T) {
 	logf := func(string, ...interface{}) {} // fig4's refs are deliberately not disk-cacheable
 	runBattery := func() (string, catalog.Stats) {
 		store := catalog.NewStore(catalog.Options{Dir: dir, Log: logf})
-		UseStore(store)
-		defer UseStore(nil)
-		return renderAll(t, 4, 0), store.Stats()
+		return render(t, Config{Parallel: 4, Store: store}), store.Stats()
 	}
 	cold, coldStats := runBattery()
 	warm, warmStats := runBattery()
@@ -193,7 +185,7 @@ func TestAllColdVsWarmDiskStore(t *testing.T) {
 // This is the experiments-level counterpart of the engine poisoning
 // test, run through runTable's real aggregation path.
 func TestPoisonedWorkloadFailsOnlyItsCells(t *testing.T) {
-	sc := snapshot()
+	sc := Config{}
 	var cells []cell
 	for _, wl := range []string{"healthy", "poisoned"} {
 		for i := 0; i < 3; i++ {

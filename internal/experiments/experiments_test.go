@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"dsa/internal/metrics"
 )
 
 // num parses a table cell as float.
@@ -311,7 +314,7 @@ func TestT8RiseThenCollapse(t *testing.T) {
 }
 
 func TestAllRuns(t *testing.T) {
-	tables, err := All()
+	tables, err := runTables(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,21 +480,24 @@ func TestT0DynamicBeatsStaticOverlays(t *testing.T) {
 	}
 }
 
-// renderAll runs the full battery at the given engine configuration
-// and renders every table the way cmd/dsafig prints them.
-func renderAll(t *testing.T, parallel int, seed uint64) string {
+// render runs the named experiments (the full battery when none) as
+// one battery under c and renders every table the way cmd/dsafig
+// prints them.
+func render(t *testing.T, c Config, names ...string) string {
 	t.Helper()
-	Configure(parallel, seed)
-	defer Configure(0, 0)
-	tables, err := All()
-	if err != nil {
+	var b strings.Builder
+	if err := StreamConfig(context.Background(), c, func(tb *metrics.Table) { fmt.Fprintln(&b, tb) }, names...); err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	for _, tb := range tables {
-		fmt.Fprintln(&b, tb)
-	}
 	return b.String()
+}
+
+// runTables runs the named experiments (the full battery when none) as
+// one battery under c and collects their tables.
+func runTables(c Config, names ...string) ([]*metrics.Table, error) {
+	var out []*metrics.Table
+	err := StreamConfig(context.Background(), c, func(tb *metrics.Table) { out = append(out, tb) }, names...)
+	return out, err
 }
 
 // TestAllMatchesSerialGolden pins every table value against the golden
@@ -502,7 +508,7 @@ func TestAllMatchesSerialGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := renderAll(t, 8, 0)
+	got := render(t, Config{Parallel: 8})
 	if got != string(want) {
 		t.Errorf("engine output diverged from serial golden baseline\n"+
 			"got %d bytes, want %d bytes\nfirst divergence: %s",
@@ -514,8 +520,8 @@ func TestAllMatchesSerialGolden(t *testing.T) {
 // aggregated tables at parallel=1 and parallel=8 — scheduling must
 // never leak into results.
 func TestAllDeterministicAcrossParallelism(t *testing.T) {
-	serial := renderAll(t, 1, 0)
-	parallel := renderAll(t, 8, 0)
+	serial := render(t, Config{Parallel: 1})
+	parallel := render(t, Config{Parallel: 8})
 	if serial != parallel {
 		t.Errorf("parallel=8 diverged from parallel=1\nfirst divergence: %s",
 			firstDiff(parallel, serial))
@@ -526,15 +532,7 @@ func TestAllDeterministicAcrossParallelism(t *testing.T) {
 // the stochastic workloads (fresh scenario) while remaining
 // reproducible run to run.
 func TestNonzeroSeedExploresNewScenario(t *testing.T) {
-	run := func(seed uint64) string {
-		Configure(4, seed)
-		defer Configure(0, 0)
-		tb, err := T1Replacement()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tb.String()
-	}
+	run := func(seed uint64) string { return render(t, Config{Parallel: 4, Seed: seed}, "t1") }
 	base := run(0)
 	alt := run(99)
 	if alt == base {

@@ -2,11 +2,12 @@
 // the paper's evaluation material (see DESIGN.md §3 for the index).
 // Each experiment returns a metrics.Table; cmd/dsafig prints them and
 // bench_test.go wraps them as benchmarks. All experiments are
-// deterministic: their cells fan out across internal/engine's worker
-// pool (see Configure), declare their workloads as keys in a sweep-
-// shared catalog (internal/workload/catalog) so each workload is
-// materialized exactly once per sweep, and the aggregated tables are
-// byte-identical at any parallelism.
+// deterministic: their cells fan out through internal/engine to the
+// battery's executor (see Config and StreamConfig), declare their
+// workloads as keys in a sweep-shared catalog
+// (internal/workload/catalog) so each workload is materialized exactly
+// once per sweep, and the aggregated tables are byte-identical at any
+// parallelism.
 package experiments
 
 import (
@@ -27,7 +28,7 @@ import (
 
 // fig2Trace materializes the uniform-random trace both Figure 2 cells
 // replay.
-func fig2Trace(env engine.Env, sc runConfig, extent uint64, refs int) (trace.Trace, error) {
+func fig2Trace(env engine.Env, sc Config, extent uint64, refs int) (trace.Trace, error) {
 	return shared(env, sc, "fig2/uniform-random", 21, func(rng *sim.RNG) (trace.Trace, error) {
 		return workload.UniformRandom(rng, extent, refs), nil
 	})
@@ -46,7 +47,7 @@ var fig1Def = registerSweep("fig1",
 	[]string{"name range", "page", "frame", "absolute range", "contiguous?"},
 	fig1Cells)
 
-func fig1Cells(runConfig) []cell {
+func fig1Cells(Config) []cell {
 	single := cell{
 		key: "fig1/scatter",
 		run: func(engine.Env) (engine.RowBatch, error) {
@@ -117,7 +118,7 @@ var fig2Def = registerSweep("fig2",
 	[]string{"scheme", "refs", "table accesses", "extra cost/ref (core cycles)"},
 	fig2Cells)
 
-func fig2Cells(sc runConfig) []cell {
+func fig2Cells(sc Config) []cell {
 	const extent = 64 * 256
 	const refs = 20000
 	unmapped := cell{
@@ -186,7 +187,7 @@ var fig3Def = registerSweep("fig3",
 		"active word-ticks", "waiting word-ticks", "wait fraction", "space-time total"},
 	fig3Cells)
 
-func fig3Cells(sc runConfig) []cell {
+func fig3Cells(sc Config) []cell {
 	const pageSize = 256
 	const virtPages = 64
 	point := func(access sim.Time, frames int) cell {
@@ -263,13 +264,13 @@ type fig4Point struct {
 // column is normalized against the zero-register cell in a serial
 // aggregation pass.
 func Fig4TwoLevelMapping() (*metrics.Table, error) {
-	return fig4Table(context.Background(), snapshot())
+	return fig4Table(context.Background(), Config{})
 }
 
 // fig4Table is Fig4TwoLevelMapping under an explicit config: the value
 // sweep runs through the engine, then the serial aggregation pass
 // normalizes every row against the no-TLB baseline cell.
-func fig4Table(ctx context.Context, sc runConfig) (*metrics.Table, error) {
+func fig4Table(ctx context.Context, sc Config) (*metrics.Table, error) {
 	points, err := runValueSweep[fig4Point](ctx, fig4Def, sc)
 	if err != nil {
 		return nil, err
@@ -288,7 +289,7 @@ func fig4Table(ctx context.Context, sc runConfig) (*metrics.Table, error) {
 
 var fig4Def = registerValueSweep("fig4", "Figure 4 — two-level mapping", fig4Cells)
 
-func fig4Cells(sc runConfig) []valueCell[fig4Point] {
+func fig4Cells(sc Config) []valueCell[fig4Point] {
 	const segs = 16
 	const segWords = 16 * 256
 	tlbSizes := []int{0, 1, 2, 4, 8, 9, 16, 44}

@@ -13,8 +13,8 @@ import (
 // worker process (any binary that links this package and runs
 // dist.WorkerMain) rebuilds a cell from {sweep id, cell key} plus the
 // sweep's base seed: the cell builders are pure functions of the
-// runConfig, so the registry plus the seed IS the cell — nothing else
-// crosses the wire. Workloads re-materialize in the worker's own
+// Config's seed, so the registry plus the seed IS the cell — nothing
+// else crosses the wire. Workloads re-materialize in the worker's own
 // catalog from their "<name>@<seed>" keys.
 const DistTask = "experiments/cell"
 
@@ -28,14 +28,14 @@ type anyCell struct {
 
 // sweepDef is one registered experiment sweep: its stable id (the wire
 // name), presentation (title, header for table sweeps) and the builder
-// that reconstructs its cells from a runConfig. Builders must be pure:
+// that reconstructs its cells from a Config. Builders must be pure:
 // the same config must yield the same cells in the same order in every
 // process, or distribution would not be byte-identical.
 type sweepDef struct {
 	id     string
 	title  string
 	header []string
-	build  func(sc runConfig) []anyCell
+	build  func(sc Config) []anyCell
 	// spec, when non-nil, overrides the wire spec jobs carry — the seam
 	// declarative scenarios use: their cells travel under the
 	// scenario/cell task (source included), not the compiled-in
@@ -69,8 +69,8 @@ func (c valueCell[T]) asAny() anyCell {
 
 // eraseCells lifts a typed cell builder to the registry's uniform
 // shape.
-func eraseCells[C anyCeller](build func(runConfig) []C) func(runConfig) []anyCell {
-	return func(sc runConfig) []anyCell {
+func eraseCells[C anyCeller](build func(Config) []C) func(Config) []anyCell {
+	return func(sc Config) []anyCell {
 		cells := build(sc)
 		out := make([]anyCell, len(cells))
 		for i, cl := range cells {
@@ -81,14 +81,14 @@ func eraseCells[C anyCeller](build func(runConfig) []C) func(runConfig) []anyCel
 }
 
 // registerSweep registers a table sweep whose cells yield RowBatches.
-func registerSweep(id, title string, header []string, build func(runConfig) []cell) *sweepDef {
+func registerSweep(id, title string, header []string, build func(Config) []cell) *sweepDef {
 	return addSweep(&sweepDef{id: id, title: title, header: header, build: eraseCells(build)})
 }
 
 // registerValueSweep registers a sweep whose cells yield typed
 // intermediate values (collected with runValueSweep for cross-cell
 // aggregation such as Figure 4's baseline normalization).
-func registerValueSweep[T any](id, title string, build func(runConfig) []valueCell[T]) *sweepDef {
+func registerValueSweep[T any](id, title string, build func(Config) []valueCell[T]) *sweepDef {
 	return addSweep(&sweepDef{id: id, title: title, build: eraseCells(build)})
 }
 
@@ -97,7 +97,7 @@ func registerValueSweep[T any](id, title string, build func(runConfig) []valueCe
 // rebuild and run the cell in a worker; in-process execution uses the
 // closure directly. Both paths run the same builder output, so output
 // bytes cannot depend on where a cell ran.
-func (d *sweepDef) jobs(sc runConfig) []engine.Job {
+func (d *sweepDef) jobs(sc Config) []engine.Job {
 	cells := d.build(sc)
 	jobs := make([]engine.Job, len(cells))
 	for i, cl := range cells {
@@ -117,20 +117,17 @@ func (d *sweepDef) jobs(sc runConfig) []engine.Job {
 	return jobs
 }
 
-// run executes a registered table sweep under the process-global
-// configuration (Configure/UseStore/...) and aggregates it exactly
-// like runTable. The exported per-experiment wrappers (T1Replacement,
-// ...) keep this entry point; batteries and the serve daemon go
-// through runCtx with an explicit config instead.
+// run executes a registered table sweep under the zero Config
+// (GOMAXPROCS cell slots, paper-exact seed) and aggregates it exactly
+// like runTable — the entry point of the exported per-experiment
+// wrappers (T1Replacement, ...). Batteries go through runCtx.
 func (d *sweepDef) run() (*metrics.Table, error) {
-	return d.runCtx(context.Background(), snapshot())
+	return d.runCtx(context.Background(), Config{})
 }
 
 // runCtx executes a registered table sweep under an explicit
-// configuration and cancellation context — the seam that lets
-// concurrent invocations (serve-daemon tenants with distinct seeds)
-// run without racing on the process-global config.
-func (d *sweepDef) runCtx(ctx context.Context, sc runConfig) (*metrics.Table, error) {
+// configuration and cancellation context.
+func (d *sweepDef) runCtx(ctx context.Context, sc Config) (*metrics.Table, error) {
 	t := &metrics.Table{Title: d.title, Header: d.header}
 	eng := newEngine(sc, d.title)
 	if _, err := eng.FillTable(ctx, t, d.jobs(sc)); err != nil {
@@ -144,7 +141,7 @@ func (d *sweepDef) runCtx(ctx context.Context, sc runConfig) (*metrics.Table, er
 // panic — aborts the sweep, since a missing intermediate leaves
 // nothing to aggregate against; the first failure cancels cells not
 // yet started.
-func runValueSweep[T any](ctx context.Context, d *sweepDef, sc runConfig) ([]T, error) {
+func runValueSweep[T any](ctx context.Context, d *sweepDef, sc Config) ([]T, error) {
 	eng := newEngine(sc, d.title)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -180,7 +177,7 @@ func runRemoteCell(ctx context.Context, c dist.Call) (interface{}, error) {
 		return nil, fmt.Errorf("experiments: unknown sweep %q", id)
 	}
 	want := c.Spec.Args["cell"]
-	for _, cl := range d.build(runConfig{seed: c.Seed}) {
+	for _, cl := range d.build(Config{Seed: c.Seed}) {
 		if cl.key == want {
 			return cl.run(c.Env)
 		}

@@ -39,8 +39,8 @@ func RegisterScenario(s *scenario.Scenario) string {
 		id:     id,
 		title:  s.Title,
 		header: s.Header(),
-		build: func(sc runConfig) []anyCell {
-			cells := s.Cells(sc.seed)
+		build: func(sc Config) []anyCell {
+			cells := s.Cells(sc.Seed)
 			out := make([]anyCell, len(cells))
 			for i, cl := range cells {
 				cl := cl

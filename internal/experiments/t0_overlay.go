@@ -70,7 +70,7 @@ var t0Def = registerSweep("t0",
 		"words transferred", "elapsed"},
 	t0Cells)
 
-func t0Cells(sc runConfig) []cell {
+func t0Cells(sc Config) []cell {
 	// The phase-structured call trace both replaying regimes share, via
 	// the sweep catalog.
 	mkCalls := func(env engine.Env) ([]string, error) {

@@ -48,7 +48,7 @@ var t1Def = registerSweep("t1",
 		"belady-min", "lru", "clock", "fifo", "random", "m44-random", "atlas-learning"},
 	t1Cells)
 
-func t1Cells(sc runConfig) []cell {
+func t1Cells(sc Config) []cell {
 	const pageSize = 256
 	traces := []struct {
 		name  string
@@ -128,7 +128,7 @@ var t2Def = registerSweep("t2",
 		"utilization@fail", "ext frag", "probes/alloc"},
 	t2Cells)
 
-func t2Cells(sc runConfig) []cell {
+func t2Cells(sc Config) []cell {
 	const heapWords = 65536
 	dists := []workload.RequestConfig{
 		{Dist: workload.SizesUniform, MinSize: 16, MaxSize: 1024, MeanLifetime: 60, Count: 8000},
@@ -169,7 +169,7 @@ func t2Cells(sc runConfig) []cell {
 
 // t3Sizes materializes the segment population every T3 cell shares and
 // returns it with its total word count.
-func t3Sizes(env engine.Env, sc runConfig) ([]int, int, error) {
+func t3Sizes(env engine.Env, sc Config) ([]int, int, error) {
 	sizes, err := shared(env, sc, "t3/segment-sizes", 17, func(rng *sim.RNG) ([]int, error) {
 		return workload.SegmentSizes(rng, 3000, 8192), nil
 	})
@@ -200,7 +200,7 @@ var t3Def = registerSweep("t3",
 		"waste frac", "ext frag"},
 	t3Cells)
 
-func t3Cells(sc runConfig) []cell {
+func t3Cells(sc Config) []cell {
 	var cells []cell
 	for _, pageSize := range []int{64, 128, 256, 512, 1024, 2048, 4096} {
 		pageSize := pageSize
@@ -267,7 +267,7 @@ var t4Def = registerSweep("t4",
 		"wait frac", "elapsed (cycles)", "ext frag"},
 	t4Cells)
 
-func t4Cells(sc runConfig) []cell {
+func t4Cells(sc Config) []cell {
 	// Same order as machine.All.
 	ctors := []struct {
 		name string
@@ -338,7 +338,7 @@ var t5Def = registerSweep("t5",
 		"wait frac", "space-time total", "elapsed"},
 	t5Cells)
 
-func t5Cells(sc runConfig) []cell {
+func t5Cells(sc Config) []cell {
 	const pageSize = 512
 	const phaseWords = 4 * pageSize
 	variants := []struct {
@@ -399,7 +399,7 @@ var t6Def = registerSweep("t6",
 	[]string{"scheme", "pages", "table words", "waste words", "waste frac"},
 	t6Cells)
 
-func t6Cells(sc runConfig) []cell {
+func t6Cells(sc Config) []cell {
 	mkSizes := func(env engine.Env) ([]int, int, error) {
 		sizes, err := shared(env, sc, "t6/segment-sizes", 23, func(rng *sim.RNG) ([]int, error) {
 			return workload.SegmentSizes(rng, 3000, 262144/16), nil // cap at scaled max segment
@@ -470,7 +470,7 @@ var t7Def = registerSweep("t7",
 		"frag failures", "largest free run", "free names"},
 	t7Cells)
 
-func t7Cells(sc runConfig) []cell {
+func t7Cells(sc Config) []cell {
 	const slots = 256
 	const ops = 4000
 
@@ -553,7 +553,7 @@ var t8Def = registerSweep("t8",
 		"CPU utilization", "faults"},
 	t8Cells)
 
-func t8Cells(sc runConfig) []cell {
+func t8Cells(sc Config) []cell {
 	base := core.MultiprogramConfig{
 		TotalFrames:      64,
 		FetchTime:        5000,
@@ -596,7 +596,7 @@ var t8bDef = registerSweep("t8b",
 		"switches", "CPU utilization"},
 	t8bCells)
 
-func t8bCells(sc runConfig) []cell {
+func t8bCells(sc Config) []cell {
 	const refs = 4000
 	degrees := []int{1, 2, 4, 8}
 	cells := make([]cell, len(degrees))

@@ -1,3 +1,17 @@
+// Package serve is the multi-tenant sweep service behind `dsasim
+// serve`: one long-running daemon owning one cell budget, one workload
+// store and one cost manifest, accepting sweep submissions over HTTP
+// and streaming each job's tables back byte-identical to the serial
+// CLI.
+//
+// The layering mirrors the rest of the repo one level up: the engine
+// bounds cells within a sweep, the battery bounds sweeps within a
+// battery, and serve bounds tenants within a daemon. Every job's cells
+// run under its tenant's executor of the daemon's one engine.Budget —
+// a two-level budget (total, per-tenant cap) with randomized fair
+// hand-off between starved tenants — alongside 429 back-pressure fed
+// by the cost manifest, and per-job panic/cancellation containment so
+// one tenant's poisoned sweep never wedges anyone else's bytes.
 package serve
 
 import (
@@ -73,7 +87,7 @@ type Options struct {
 type Server struct {
 	store   *catalog.Catalog
 	costs   *battery.CostManifest
-	budget  *Budget
+	budget  *engine.Budget
 	runner  Runner
 	log     func(format string, args ...interface{})
 	maxOpen int
@@ -120,7 +134,7 @@ func New(o Options) *Server {
 	s := &Server{
 		store:   o.Store,
 		costs:   o.Costs,
-		budget:  NewBudget(o.Cells, o.TenantCells),
+		budget:  engine.NewBudget(o.Cells, o.TenantCells),
 		runner:  o.Runner,
 		log:     o.Log,
 		maxOpen: o.TenantJobs,

@@ -296,77 +296,6 @@ func TestPanickingSweepContainedConcurrentTenantUnaffected(t *testing.T) {
 	}
 }
 
-func TestBudgetPerTenantCapAndFairHandoff(t *testing.T) {
-	b := NewBudget(4, 2)
-	ctx := context.Background()
-
-	// alice takes her full per-tenant share...
-	for i := 0; i < 2; i++ {
-		if err := b.Acquire(ctx, "alice"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// ...and queues for more, beyond her cap.
-	granted := make(chan string, 8)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := b.Acquire(ctx, "alice"); err == nil {
-				granted <- "alice"
-			}
-		}()
-	}
-	// Free slots exist, but alice is capped; bob walks straight in.
-	done := make(chan error, 1)
-	go func() { done <- b.Acquire(ctx, "bob") }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("bob blocked behind a capped tenant despite free slots")
-	}
-	if b.Running("bob") != 1 {
-		t.Fatalf("bob running %d, want 1", b.Running("bob"))
-	}
-	select {
-	case who := <-granted:
-		t.Fatalf("%s acquired beyond the per-tenant cap", who)
-	default:
-	}
-
-	// Releasing alice's slots hands them to her FIFO waiters.
-	b.Release("alice")
-	b.Release("alice")
-	deadline := time.Now().Add(5 * time.Second)
-	for b.Running("alice") != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("released slots never reached alice's waiters (running=%d)", b.Running("alice"))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	wg.Wait()
-
-	// Cancellation removes a waiter without leaking a slot.
-	cctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() { errc <- b.Acquire(cctx, "alice") }()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	if err := <-errc; err != context.Canceled {
-		t.Fatalf("cancelled acquire: %v", err)
-	}
-	b.Release("alice")
-	b.Release("alice")
-	b.Release("bob")
-	if got := b.Total(); got != 4 {
-		t.Fatalf("slots leaked: total %d, want 4", got)
-	}
-}
-
 // TestServeLoadNoGoroutineLeak is the load smoke's in-process half:
 // a burst of concurrent submissions against a small cell budget must
 // produce only 2xx/429 responses, and shutting the server down must
