@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet fmt-check lint build test race bench bench-gate perfbench-check profile examples fig sim dist-smoke battery-smoke tcp-smoke scenario-smoke serve-smoke load-smoke
+.PHONY: ci vet fmt-check lint build test race fuzz bench bench-gate perfbench-check profile examples fig sim dist-smoke battery-smoke tcp-smoke scenario-smoke serve-smoke load-smoke
 
-ci: vet fmt-check lint build race bench perfbench-check examples ## full tier-1 + lint + race + bench smoke + perfbench + examples
+ci: vet fmt-check lint build race fuzz bench perfbench-check examples ## full tier-1 + lint + race + fuzz + bench smoke + perfbench + examples
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +31,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# A short run of each fuzz target over bytes read from outside the
+# process. The seed corpora also run as plain tests under `make test`.
+fuzz:
+	$(GO) test ./internal/engine/battery -run '^$$' -fuzz '^FuzzLoadCosts$$' -fuzztime 10s
 
 # perfbench/ is its own Go module (replace dsa => ../), so the root
 # `go build ./...` never compiles it — yet it links against the

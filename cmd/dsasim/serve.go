@@ -36,10 +36,13 @@ func cmdServe(args []string) {
 	_ = fs.Parse(args)
 
 	store := cliflags.Store("dsasim", *cacheDir)
-	var costs *battery.CostManifest
+	// Without -cache-dir the manifest lives in memory only: Retry-After
+	// still learns from the daemon's own sweeps, and Save is a no-op.
+	costsPath := ""
 	if *cacheDir != "" {
-		costs = battery.LoadCosts(filepath.Join(*cacheDir, "latency.json"))
+		costsPath = filepath.Join(*cacheDir, "latency.json")
 	}
+	costs := battery.LoadCosts(costsPath)
 	srv := serve.New(serve.Options{
 		Store:       store,
 		Costs:       costs,

@@ -162,9 +162,9 @@
 // function, experiments.StreamConfig, under one per-invocation
 // experiments.Config (the CLIs build theirs from their flags with
 // cliflags.Sweep.Battery). -battery-parallel N runs up to N whole
-// experiments concurrently over one shared executor; N = 1 is the same
-// path feeding sweeps one at a time. It composes with the other flags
-// rather than multiplying them:
+// experiments concurrently over one shared executor, fed in
+// declaration order; N = 1 is the same path feeding sweeps one at a
+// time. It composes with the other flags rather than multiplying them:
 //
 //   - -battery-parallel × -parallel: without -workers, every sweep runs
 //     on the battery's one engine.Budget of -parallel cell slots, so
@@ -364,16 +364,10 @@
 // profile is written after a final GC), and `make profile` runs the
 // full dsafig sweep under both — point `go tool pprof` at the result.
 //
-// Two cost-aware scheduling mechanisms reclaim wall-clock without
-// touching output bytes. A -cache-dir records each sweep's measured
-// latency into latency.json (atomic rename, corrupt-safe like the
-// workload cache); on the next -battery-parallel run the battery feeds
-// sweeps longest-first so a long tail cannot strand the final worker,
-// while results still emit in declaration order — byte-identical by
-// construction, pinned by tests. And -adaptive-batch lets each dist
-// worker size its protocol batches from an EWMA of measured per-cell
-// latency (targeting ~25ms per round trip, capped by -batch), so cheap
-// cells amortize framing while expensive cells keep feedback fresh.
+// Scheduling is deliberately plain: the battery feeds sweeps in
+// declaration order and every dist frame carries the static -batch.
+// The serve daemon's cost manifest records each sweep's measured
+// latency for its Retry-After estimate; no scheduler reads it.
 //
 // Every speedup to these paths is pinned by equivalence tests, not
 // just benchmarks: the indexed heap free list, the intrusive-LRU TLB,

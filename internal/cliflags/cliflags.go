@@ -5,18 +5,18 @@
 // boilerplate (`<cmd> worker`, `<cmd> serve-worker`) that was
 // previously duplicated per command.
 //
-// The flag values collect into a Sweep, which projects onto the
-// unified engine.Config (see Sweep.Config) for commands that run one
-// sweep through engine.New, and onto an experiments.Config (see
-// Sweep.Battery) for commands that run experiment batteries through
-// experiments.StreamConfig.
+// The flag values collect into a Sweep. Commands that run one sweep
+// through engine.New take an engine.Config from Sweep.Config and, when
+// -workers/-remote are set, a dist pool from Sweep.Pool as its
+// executor; commands that run experiment batteries through
+// experiments.StreamConfig take an experiments.Config from
+// Sweep.Battery.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 
@@ -38,7 +38,6 @@ type Sweep struct {
 	Remote          string
 	AuthToken       string
 	Batch           int
-	AdaptiveBatch   bool
 	BatteryParallel int
 	CacheDir        string
 	Progress        bool
@@ -63,8 +62,6 @@ func Register(fs *flag.FlagSet, prog string, seedDefault uint64) *Sweep {
 	fs.StringVar(&s.AuthToken, "auth-token", os.Getenv("DSA_WORKER_TOKEN"),
 		"shared secret for -remote handshakes (default $DSA_WORKER_TOKEN)")
 	fs.IntVar(&s.Batch, "batch", 1, "cells per dist protocol frame with -workers/-remote (amortizes round trips)")
-	fs.BoolVar(&s.AdaptiveBatch, "adaptive-batch", false,
-		"size dist batches from measured per-cell latency instead of the static -batch (which then only caps them)")
 	fs.IntVar(&s.BatteryParallel, "battery-parallel", 1,
 		"run N whole sweeps concurrently over one shared executor (1 = serial; byte-identical at any N)")
 	fs.StringVar(&s.CacheDir, "cache-dir", "",
@@ -85,32 +82,20 @@ func (s *Sweep) Remotes() []string { return dist.SplitEndpoints(s.Remote) }
 // diagnostics prefixed with the command name.
 func (s *Sweep) Store() *catalog.Catalog { return Store(s.Prog, s.CacheDir) }
 
-// Config projects the parsed flags onto the unified engine.Config,
-// with store (may be nil) as its catalog.
+// Config projects the parsed flags onto an engine.Config, with store
+// (may be nil) as its catalog. The dist flags are Pool's.
 func (s *Sweep) Config(store *catalog.Catalog) engine.Config {
-	return engine.Config{
-		Parallel:      s.Parallel,
-		Seed:          s.Seed,
-		Catalog:       store,
-		Workers:       s.Workers,
-		Batch:         s.Batch,
-		AdaptiveBatch: s.AdaptiveBatch,
-		Remote:        s.Remotes(),
-		AuthToken:     s.AuthToken,
-		CacheDir:      s.CacheDir,
-	}
+	return engine.Config{Parallel: s.Parallel, Seed: s.Seed, Catalog: store}
 }
 
 // Battery builds the experiments.Config the flags ask for, for an
 // experiments.StreamConfig call: this process's workload store, the
-// dist pool when -workers/-remote are set, the sweep-cost manifest in
-// -cache-dir (later -battery-parallel runs schedule longest-first from
-// it), and the -progress observer — the aggregated battery view under
-// -battery-parallel, where interleaved per-sweep lines would be
-// unreadable, per-sweep lines otherwise. The returned finish function
-// prints the dist summary, closes the pool, saves the manifest and
-// prints the store summary (with -cache-dir or -progress); call it
-// once the battery is done.
+// dist pool when -workers/-remote are set, and the -progress observer
+// — the aggregated battery view under -battery-parallel, where
+// interleaved per-sweep lines would be unreadable, per-sweep lines
+// otherwise. The returned finish function prints the dist summary,
+// closes the pool and prints the store summary (with -cache-dir or
+// -progress); call it once the battery is done.
 func (s *Sweep) Battery() (experiments.Config, func(), error) {
 	c := experiments.Config{
 		Parallel:        s.Parallel,
@@ -124,9 +109,6 @@ func (s *Sweep) Battery() (experiments.Config, func(), error) {
 	}
 	if pool != nil {
 		c.Executor = pool
-	}
-	if s.CacheDir != "" {
-		c.Costs = battery.LoadCosts(filepath.Join(s.CacheDir, "latency.json"))
 	}
 	if s.Progress {
 		if s.BatteryParallel > 1 {
@@ -143,9 +125,6 @@ func (s *Sweep) Battery() (experiments.Config, func(), error) {
 		if pool != nil {
 			fmt.Fprintf(os.Stderr, "%s: dist: %s\n", s.Prog, pool.Stats().Summary(s.PoolSlots()))
 			pool.Close()
-		}
-		if err := c.Costs.Save(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: costs: %v\n", s.Prog, err)
 		}
 		if s.CacheDir != "" || s.Progress {
 			fmt.Fprintf(os.Stderr, "%s: store: %s\n", s.Prog, c.Store.Stats().Summary())
@@ -205,11 +184,15 @@ func (s *Sweep) StartProfiles() (func(), error) {
 	}, nil
 }
 
-// Pool builds the dist pool the flags ask for via dist.PoolFromConfig
-// — nil (and no error) when -workers/-remote are unset. The caller
-// owns Close.
+// Pool builds the dist pool the flags ask for with dist.SelfPool —
+// nil (and no error) when -workers/-remote are unset. The caller owns
+// Close.
 func (s *Sweep) Pool() (*dist.Pool, error) {
-	return dist.PoolFromConfig(s.Config(nil))
+	remotes := s.Remotes()
+	if s.Workers <= 0 && len(remotes) == 0 {
+		return nil, nil
+	}
+	return dist.SelfPool(s.Workers, s.Batch, s.CacheDir, remotes, s.AuthToken)
 }
 
 // PoolSlots is the slot count for pool stats summaries: local workers

@@ -61,8 +61,8 @@ type Result struct {
 	// function panicked (then Err wraps the recovered value).
 	Err error
 	// Elapsed is the unit's observed wall-clock run time (zero for
-	// units cancelled before they started). Callers feed it back into a
-	// CostManifest so the next battery run can schedule longest-first.
+	// units cancelled before they started). Callers may record it in a
+	// CostManifest.
 	Elapsed time.Duration
 }
 
@@ -75,22 +75,16 @@ type Options struct {
 	// Tracker, if non-nil, receives sweep lifecycle events and renders
 	// battery-wide progress snapshots.
 	Tracker *Tracker
-	// Costs, if non-nil, reports the expected cost of a unit by name
-	// (typically CostManifest.Cost). With Parallel > 1, units with known
-	// costs are fed to workers longest-first so the battery's makespan
-	// is bounded by the widest sweep instead of whichever straggler was
-	// declared last; unknown units trail in declaration order. Emission
-	// order — and therefore output bytes — is unaffected.
-	Costs func(name string) (time.Duration, bool)
 }
 
-// Run executes every unit with at most o.Parallel sweeps in flight and
-// calls emit (when non-nil) once per unit in unit order, each as soon
-// as that prefix of the battery has completed — so tables stream out
-// in canonical order no matter which sweep finishes first. It returns
-// the full result slice indexed like units. Cancellation marks every
-// unit not yet started with ctx.Err(); units already running finish
-// (their own engines decide how they react to ctx).
+// Run executes every unit with at most o.Parallel sweeps in flight,
+// feeding them in declaration order, and calls emit (when non-nil)
+// once per unit in unit order, each as soon as that prefix of the
+// battery has completed — so tables stream out in canonical order no
+// matter which sweep finishes first. It returns the full result slice
+// indexed like units. Cancellation marks every unit not yet started
+// with ctx.Err(); units already running finish (their own engines
+// decide how they react to ctx).
 func Run(ctx context.Context, units []Unit, o Options, emit func(Result)) []Result {
 	results := make([]Result, len(units))
 	if len(units) == 0 {
@@ -133,25 +127,14 @@ func Run(ctx context.Context, units []Unit, o Options, emit func(Result)) []Resu
 			}
 		}()
 	}
-	// Feed order is a scheduling choice only — results re-emit in unit
-	// order regardless — so with width > 1 and recorded costs, feed
-	// longest-first to shorten the makespan. Serial batteries keep
-	// declaration order (reordering buys nothing at width 1).
-	order := make([]int, len(units))
-	for i := range order {
-		order[i] = i
-	}
-	if width > 1 && o.Costs != nil {
-		order = ScheduleOrder(len(units), o.Costs, func(i int) string { return units[i].Name })
-	}
-	for n, i := range order {
+	for i := range units {
 		select {
 		case feed <- i:
 		case <-ctx.Done():
 			// Mark this and all remaining units cancelled; workers drain
 			// nothing further. These units never started, so account them
 			// as skipped rather than as a running sweep finishing.
-			for _, j := range order[n:] {
+			for j := i; j < len(units); j++ {
 				o.Tracker.sweepSkipped(units[j].Name)
 				results[j] = Result{Name: units[j].Name, Index: j, Err: ctx.Err()}
 				done <- j

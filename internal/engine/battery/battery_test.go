@@ -3,6 +3,7 @@ package battery
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,6 +46,75 @@ func TestOrderedEmissionUnderSkewedCompletion(t *testing.T) {
 	}
 	if len(emitted) != n {
 		t.Fatalf("emitted %d of %d units", len(emitted), n)
+	}
+}
+
+// TestLongestFirstEmissionIdentical is the battery-order contract for a
+// battery declared longest-first: at width 2 the two longest units
+// (u0, u1) are fed first and occupy both workers, so every short unit
+// completes after them, yet results and emission must match a serial
+// run. To prove the feeding order without racing on goroutine
+// interleavings, u0 and u1 rendezvous with each other: no short unit
+// can have completed when u0 starts, and neither of them can return
+// until both are running.
+func TestLongestFirstEmissionIdentical(t *testing.T) {
+	const n = 6
+	mkUnits := func(sync bool) []Unit {
+		var shortDone atomic.Int32
+		var u0started, u1started chan struct{}
+		if sync {
+			u0started = make(chan struct{})
+			u1started = make(chan struct{})
+		}
+		units := make([]Unit, n)
+		for i := 0; i < n; i++ {
+			i := i
+			units[i] = Unit{Name: fmt.Sprintf("u%d", i), Run: func(context.Context) (interface{}, error) {
+				if sync {
+					switch i {
+					case 0:
+						if done := shortDone.Load(); done != 0 {
+							return nil, fmt.Errorf("%d short units ran before the longest started", done)
+						}
+						close(u0started)
+						<-u1started
+					case 1:
+						close(u1started)
+						<-u0started
+					default:
+						shortDone.Add(1)
+					}
+				}
+				return fmt.Sprintf("value-%d", i), nil
+			}}
+		}
+		return units
+	}
+
+	var baseline []string
+	for _, r := range Run(context.Background(), mkUnits(false), Options{Parallel: 1}, nil) {
+		baseline = append(baseline, r.Value.(string))
+	}
+
+	var emitted []string
+	results := Run(context.Background(), mkUnits(true), Options{Parallel: 2},
+		func(r Result) { emitted = append(emitted, r.Value.(string)) })
+
+	var got []string
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("unit %s failed: %v", r.Name, r.Err)
+		}
+		if r.Elapsed < 0 {
+			t.Fatalf("unit %s has negative Elapsed", r.Name)
+		}
+		got = append(got, r.Value.(string))
+	}
+	if !reflect.DeepEqual(got, baseline) {
+		t.Fatalf("results differ from serial run:\n%v\n%v", got, baseline)
+	}
+	if !reflect.DeepEqual(emitted, baseline) {
+		t.Fatalf("emission differs from serial run:\n%v\n%v", emitted, baseline)
 	}
 }
 

@@ -4,19 +4,16 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 )
 
 // CostManifest records the observed wall-clock cost of each battery
-// unit, persisted as JSON next to the workload cache. Costs feed the
-// longest-first scheduler: under a parallel battery the widest units
-// start first, so the tail of the run is short sweeps instead of one
-// straggler. The manifest is advisory throughout — a missing or
-// corrupt file degrades to an empty manifest, and scheduling order
-// never changes output bytes (results are re-emitted in declaration
-// order regardless).
+// unit, optionally persisted as JSON next to the workload cache. The
+// sweep daemon reads it to estimate Retry-After for rejected
+// submissions. The manifest is advisory throughout: a missing or
+// corrupt file degrades to an empty manifest, and nothing read from it
+// changes output bytes.
 type CostManifest struct {
 	mu    sync.Mutex
 	path  string
@@ -29,8 +26,8 @@ type costFile struct {
 }
 
 // LoadCosts opens (or initializes) the manifest at path. A missing,
-// unreadable or corrupt file yields an empty manifest — first runs
-// simply schedule in declaration order and record costs for the next.
+// unreadable or corrupt file yields an empty manifest. An empty path
+// gives an in-memory manifest whose Save is a no-op.
 func LoadCosts(path string) *CostManifest {
 	m := &CostManifest{path: path, costs: make(map[string]time.Duration)}
 	data, err := os.ReadFile(path)
@@ -85,12 +82,12 @@ func (m *CostManifest) Len() int {
 // Save writes the manifest atomically (temp file + rename, the same
 // idiom as the disk workload cache) so a crash mid-write never leaves
 // a corrupt manifest. Before writing, it merges the file's current
-// contents under the manifest's own: two processes sharing a cache dir
-// (two daemons, or daemon + CLI) each load at start and save at end,
-// and a plain overwrite would drop whatever the other recorded in
-// between. In-memory measurements win per key — they are this
-// process's fresher observations — while keys only the file knows
-// survive. Nil-safe no-op when there is nothing to write.
+// contents under the manifest's own: two daemons sharing a cache dir
+// each load at start and save at end, and a plain overwrite would drop
+// whatever the other recorded in between. In-memory measurements win
+// per key — they are this process's fresher observations — while keys
+// only the file knows survive. Nil-safe no-op when there is nothing to
+// write.
 func (m *CostManifest) Save() error {
 	if m == nil || m.path == "" {
 		return nil
@@ -132,36 +129,4 @@ func (m *CostManifest) Save() error {
 		return err
 	}
 	return os.Rename(tmp.Name(), m.path)
-}
-
-// ScheduleOrder returns the order in which n units should be fed to
-// workers: longest recorded cost first, units without a recorded cost
-// trailing in declaration order. cost is typically CostManifest.Cost;
-// a nil cost function yields declaration order. The returned slice is
-// a permutation of [0, n) — emission order is unaffected (results are
-// always re-emitted in declaration order), so any permutation is
-// byte-identical; this one just shortens the parallel makespan.
-func ScheduleOrder(n int, cost func(name string) (time.Duration, bool), name func(i int) string) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if cost == nil {
-		return order
-	}
-	known := make([]time.Duration, n)
-	any := false
-	for i := 0; i < n; i++ {
-		if d, ok := cost(name(i)); ok {
-			known[i] = d
-			any = true
-		}
-	}
-	if !any {
-		return order
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return known[order[a]] > known[order[b]]
-	})
-	return order
 }

@@ -1,12 +1,9 @@
 package battery
 
 import (
-	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -107,137 +104,29 @@ func TestCostManifestNilSafe(t *testing.T) {
 	}
 }
 
-func TestScheduleOrderLongestFirstUnknownsTrail(t *testing.T) {
-	names := []string{"u0", "slow", "u1", "fast", "mid"}
-	costs := map[string]time.Duration{
-		"slow": 300 * time.Millisecond,
-		"fast": 10 * time.Millisecond,
-		"mid":  100 * time.Millisecond,
-	}
-	cost := func(n string) (time.Duration, bool) { d, ok := costs[n]; return d, ok }
-	order := ScheduleOrder(len(names), cost, func(i int) string { return names[i] })
-	got := make([]string, len(order))
-	for i, idx := range order {
-		got[i] = names[idx]
-	}
-	// Known costs descending, then unknown units in declaration order.
-	want := []string{"slow", "mid", "fast", "u0", "u1"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("order = %v, want %v", got, want)
-	}
-}
-
-func TestScheduleOrderNoCostsIsDeclarationOrder(t *testing.T) {
-	order := ScheduleOrder(4, nil, func(i int) string { return fmt.Sprint(i) })
-	if !reflect.DeepEqual(order, []int{0, 1, 2, 3}) {
-		t.Fatalf("nil cost order = %v, want identity", order)
-	}
-	none := func(string) (time.Duration, bool) { return 0, false }
-	order = ScheduleOrder(4, none, func(i int) string { return fmt.Sprint(i) })
-	if !reflect.DeepEqual(order, []int{0, 1, 2, 3}) {
-		t.Fatalf("all-unknown order = %v, want identity", order)
-	}
-}
-
-// TestLongestFirstEmissionIdentical is the battery-order contract:
-// feeding units longest-first must not change what is emitted or its
-// order — only which worker starts what first. To prove the permutation
-// really was applied without racing on goroutine interleavings, the two
-// costed-longest units (u5, u4) rendezvous with each other: under
-// longest-first they are fed first and occupy both workers, so no short
-// unit can have completed when u5 starts. Under declaration order the
-// four short units would all finish before u4/u5 are even fed.
-func TestLongestFirstEmissionIdentical(t *testing.T) {
-	const n = 6
-	mkUnits := func(sync bool) ([]Unit, *atomic.Int32) {
-		var shortDone atomic.Int32
-		var u5started, u4started chan struct{}
-		if sync {
-			u5started = make(chan struct{})
-			u4started = make(chan struct{})
+// FuzzLoadCosts: whatever bytes sit in the manifest file, LoadCosts
+// must not panic, must load only positive costs, and Save followed by
+// LoadCosts must give back exactly the costs it loaded.
+func FuzzLoadCosts(f *testing.F) {
+	f.Add([]byte(`{"costs":{"t1":150000000,"t2":20000000}}`))
+	f.Add([]byte(`{"costs":{"t1":1500`))
+	f.Add([]byte(`{"costs":{"t1":-5,"t2":0,"t3":7}}`))
+	path := filepath.Join(f.TempDir(), "latency.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		units := make([]Unit, n)
-		for i := 0; i < n; i++ {
-			i := i
-			units[i] = Unit{Name: fmt.Sprintf("u%d", i), Run: func(context.Context) (interface{}, error) {
-				if sync {
-					switch i {
-					case 5:
-						if done := shortDone.Load(); done != 0 {
-							return nil, fmt.Errorf("%d short units ran before the longest started", done)
-						}
-						close(u5started)
-						<-u4started
-					case 4:
-						close(u4started)
-						<-u5started
-					default:
-						shortDone.Add(1)
-					}
-				}
-				return fmt.Sprintf("value-%d", i), nil
-			}}
+		m := LoadCosts(path)
+		for name, d := range m.costs {
+			if d <= 0 {
+				t.Fatalf("loaded cost %q = %v, want > 0", name, d)
+			}
 		}
-		return units, &shortDone
-	}
-
-	baselineUnits, _ := mkUnits(false)
-	var baseline []string
-	for _, r := range Run(context.Background(), baselineUnits, Options{Parallel: 1}, nil) {
-		baseline = append(baseline, r.Value.(string))
-	}
-
-	// Costs make unit u5 the longest and u0 the shortest, so the width-2
-	// scheduler must feed u5 then u4 before any short unit.
-	cost := func(name string) (time.Duration, bool) {
-		var i int
-		fmt.Sscanf(name, "u%d", &i)
-		return time.Duration(i+1) * time.Millisecond, true
-	}
-	units, _ := mkUnits(true)
-	var emitted []string
-	results := Run(context.Background(), units, Options{Parallel: 2, Costs: cost},
-		func(r Result) { emitted = append(emitted, r.Value.(string)) })
-
-	var got []string
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("unit %s failed: %v", r.Name, r.Err)
+		if err := m.Save(); err != nil {
+			t.Fatal(err)
 		}
-		if r.Elapsed < 0 {
-			t.Fatalf("unit %s has negative Elapsed", r.Name)
+		if re := LoadCosts(path); !reflect.DeepEqual(re.costs, m.costs) {
+			t.Fatalf("round trip changed the costs:\n%v\n%v", re.costs, m.costs)
 		}
-		got = append(got, r.Value.(string))
-	}
-	if !reflect.DeepEqual(got, baseline) {
-		t.Fatalf("results differ from declaration-order run:\n%v\n%v", got, baseline)
-	}
-	if !reflect.DeepEqual(emitted, baseline) {
-		t.Fatalf("emission differs from declaration-order run:\n%v\n%v", emitted, baseline)
-	}
-}
-
-// TestSerialBatteryIgnoresCosts pins that a width-1 battery keeps
-// declaration order even when costs are known: reordering buys nothing
-// serially and declaration order is the documented serial contract.
-func TestSerialBatteryIgnoresCosts(t *testing.T) {
-	var started []string
-	units := make([]Unit, 3)
-	for i := range units {
-		name := fmt.Sprintf("u%d", i)
-		units[i] = Unit{Name: name, Run: func(context.Context) (interface{}, error) {
-			started = append(started, name)
-			return nil, nil
-		}}
-	}
-	cost := func(name string) (time.Duration, bool) {
-		if name == "u2" {
-			return time.Hour, true
-		}
-		return time.Millisecond, true
-	}
-	Run(context.Background(), units, Options{Parallel: 1, Costs: cost}, nil)
-	if !reflect.DeepEqual(started, []string{"u0", "u1", "u2"}) {
-		t.Fatalf("serial start order = %v, want declaration order", started)
-	}
+	})
 }

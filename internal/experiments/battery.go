@@ -122,8 +122,8 @@ type Config struct {
 	// slots for this invocation.
 	Executor engine.Executor
 	// Costs, if non-nil, records each successful sweep's observed
-	// wall-clock time and feeds longest-first scheduling under
-	// BatteryParallel > 1. Scheduling never changes output bytes.
+	// wall-clock time. Nothing in the battery reads it back: the serve
+	// daemon's Retry-After estimate does.
 	Costs *battery.CostManifest
 	// OnProgress observes per-sweep engine progress; OnBatteryProgress
 	// observes the aggregated battery view (sweeps done/running, cells
@@ -203,7 +203,7 @@ func StreamConfig(ctx context.Context, c Config, emit func(*metrics.Table), name
 	}
 	failed := false
 	results := battery.Run(ctx, units,
-		battery.Options{Parallel: c.BatteryParallel, Tracker: tracker, Costs: c.Costs.Cost},
+		battery.Options{Parallel: c.BatteryParallel, Tracker: tracker},
 		func(r battery.Result) {
 			// Ordered emission stops at the first failed slot.
 			if r.Err != nil {
@@ -213,10 +213,9 @@ func StreamConfig(ctx context.Context, c Config, emit func(*metrics.Table), name
 				emit(r.Value.(*metrics.Table))
 			}
 		})
-	// Feed observed sweep times back into the manifest so the next
-	// battery schedules longest-first from real measurements. Failed or
-	// cancelled sweeps are not recorded — their elapsed time says
-	// nothing about a successful run's cost.
+	// Record observed sweep times in the manifest. Failed or cancelled
+	// sweeps are not recorded — their elapsed time says nothing about a
+	// successful run's cost.
 	for _, r := range results {
 		if r.Err == nil {
 			c.Costs.Record(r.Name, r.Elapsed)

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"dsa/internal/engine"
 	"dsa/internal/engine/battery"
@@ -204,9 +203,9 @@ var failingDef = registerSweep("test-fail", "test — failing sweep", []string{"
 // mid-battery aborts a concurrent battery exactly as it aborts a
 // serial one — every sweep declared before it still runs and emits its
 // golden table, nothing after it emits, and the failing sweep's error
-// comes back — at every battery width. A recorded cost makes the
-// concurrent batteries start the failing sweep first, so it fails
-// while the sweeps declared before it are still queued.
+// comes back — at every battery width. The failing sweep's cells are
+// tiny, so at widths > 1 it fails while sweeps declared before it are
+// still running or queued.
 func TestBatteryFailureParity(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "all_tables.golden"))
 	if err != nil {
@@ -221,9 +220,7 @@ func TestBatteryFailureParity(t *testing.T) {
 	run := func(bp int) (string, int, error) {
 		var b strings.Builder
 		n := 0
-		costs := battery.LoadCosts("")
-		costs.Record("test-fail", time.Hour)
-		err := StreamConfig(context.Background(), Config{Parallel: 2, BatteryParallel: bp, Costs: costs}, func(tb *metrics.Table) {
+		err := StreamConfig(context.Background(), Config{Parallel: 2, BatteryParallel: bp}, func(tb *metrics.Table) {
 			n++
 			fmt.Fprintln(&b, tb)
 		})

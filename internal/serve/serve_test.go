@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dsa/internal/engine"
+	"dsa/internal/engine/battery"
 	"dsa/internal/experiments"
 	"dsa/internal/metrics"
 	"dsa/internal/workload/catalog"
@@ -150,47 +151,60 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestBudgetExhaustionReturns429WithRetryAfter(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{}, 8)
-	s := New(Options{TenantJobs: 1, Runner: func(ctx context.Context, run Run, emit func([]byte)) error {
-		started <- struct{}{}
-		select {
-		case <-release:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}})
-	defer s.Close()
-	defer close(release)
-	ts := httptest.NewServer(s)
-	defer ts.Close()
+	costs := battery.LoadCosts("")
+	costs.Record("t0", 5*time.Second)
+	costs.Record("t1", 58*time.Second)
+	for _, tc := range []struct {
+		name, open, want string
+	}{
+		{"recorded-cost", `{"experiments":["t0"]}`, "5"},
+		{"clamped", `{"experiments":["t0","t1"]}`, "60"}, // 63 s of open sweeps
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			release := make(chan struct{})
+			started := make(chan struct{}, 8)
+			s := New(Options{TenantJobs: 1, Costs: costs, Runner: func(ctx context.Context, run Run, emit func([]byte)) error {
+				started <- struct{}{}
+				select {
+				case <-release:
+					return nil
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}})
+			defer s.Close()
+			defer close(release)
+			ts := httptest.NewServer(s)
+			defer ts.Close()
 
-	code, _ := submit(t, ts, "alice", `{"experiments":["t0"]}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("first submit: %d", code)
-	}
-	<-started
+			code, _ := submit(t, ts, "alice", tc.open)
+			if code != http.StatusAccepted {
+				t.Fatalf("first submit: %d", code)
+			}
+			<-started
 
-	// alice is at her open-job limit: back-pressure, with advice.
-	req, _ := http.NewRequest("POST", ts.URL+"/sweeps", strings.NewReader(`{"experiments":["t0"]}`))
-	req.Header.Set("X-Tenant", "alice")
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-limit submit: %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("429 carried no Retry-After")
-	}
+			// alice is at her open-job limit: back-pressure, with advice
+			// from the recorded cost of her open sweeps.
+			req, _ := http.NewRequest("POST", ts.URL+"/sweeps", strings.NewReader(`{"experiments":["t0"]}`))
+			req.Header.Set("X-Tenant", "alice")
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("over-limit submit: %d, want 429", resp.StatusCode)
+			}
+			if ra := resp.Header.Get("Retry-After"); ra != tc.want {
+				t.Fatalf("Retry-After = %q, want %q", ra, tc.want)
+			}
 
-	// A different tenant is unaffected by alice's exhaustion.
-	if code, _ := submit(t, ts, "bob", `{"experiments":["t0"]}`); code != http.StatusAccepted {
-		t.Fatalf("bob's submit during alice's exhaustion: %d", code)
+			// A different tenant is unaffected by alice's exhaustion.
+			if code, _ := submit(t, ts, "bob", `{"experiments":["t0"]}`); code != http.StatusAccepted {
+				t.Fatalf("bob's submit during alice's exhaustion: %d", code)
+			}
+		})
 	}
 }
 
