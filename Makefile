@@ -36,6 +36,7 @@ race:
 # process. The seed corpora also run as plain tests under `make test`.
 fuzz:
 	$(GO) test ./internal/engine/battery -run '^$$' -fuzz '^FuzzLoadCosts$$' -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime 10s
 
 # perfbench/ is its own Go module (replace dsa => ../), so the root
 # `go build ./...` never compiles it — yet it links against the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"dsa/internal/sim"
@@ -59,7 +60,12 @@ type MultiprogramResult struct {
 	InterFault int64
 }
 
-// SimulateMultiprogramming runs the overlap model to completion.
+// SimulateMultiprogramming runs the overlap model to completion. The
+// processor runs the first ready program by index, otherwise idles
+// until the earliest fetch completes. Because fetches complete in the
+// order they were issued (see the loop), the scheduler keeps the
+// blocked programs in a FIFO ring and the ready ones in a bitset, so
+// its cost is linear in the number of quanta, not quanta × programs.
 func SimulateMultiprogramming(cfg MultiprogramConfig) (MultiprogramResult, error) {
 	if cfg.Programs <= 0 {
 		return MultiprogramResult{}, errors.New("core: need at least one program")
@@ -85,57 +91,66 @@ func SimulateMultiprogramming(cfg MultiprogramConfig) (MultiprogramResult, error
 	}
 	interFault := int64(math.Max(1, cfg.LifetimeCoeff*float64(eff)*float64(eff)))
 
-	type prog struct {
-		remaining int64
-		readyAt   sim.Time // time the program's outstanding fetch completes
-	}
-	progs := make([]prog, cfg.Programs)
-	for i := range progs {
-		progs[i] = prog{remaining: cfg.RefsPerProgram}
+	// Fetches complete in FIFO order. The initial stagger
+	// i·FetchTime/Programs does not decrease with i. Every later fetch
+	// completes at now + FetchTime, and now strictly increases (a burst
+	// is at least one reference of at least one tick), so it completes
+	// no earlier than any fetch already queued, the staggers included.
+	// The blocked programs therefore form a ring sorted by completion
+	// time, and the lowest set bit of the ready bitset is the first
+	// ready program by index.
+	n := cfg.Programs
+	remaining := make([]int64, n)
+	readyAt := make([]sim.Time, n) // when the program's outstanding fetch completes
+	waiting := make([]int, n)      // ring of blocked programs, oldest fetch at head
+	ready := make([]uint64, (n+63)/64)
+	for i := range remaining {
+		remaining[i] = cfg.RefsPerProgram
 		// Initial page fetch: programs stagger in.
-		progs[i].readyAt = sim.Time(i) * cfg.FetchTime / sim.Time(cfg.Programs)
+		readyAt[i] = sim.Time(i) * cfg.FetchTime / sim.Time(n)
+		waiting[i] = i
 	}
+	head, blocked := 0, n
 
 	var now, busy sim.Time
 	var faults int64
 	for {
-		// Pick the ready program with work left; if none ready, jump to
-		// the earliest completion.
-		best := -1
-		var soonest sim.Time = math.MaxInt64
-		for i := range progs {
-			p := &progs[i]
-			if p.remaining <= 0 {
-				continue
+		for blocked > 0 && readyAt[waiting[head]] <= now {
+			i := waiting[head]
+			ready[i>>6] |= 1 << (i & 63)
+			if head++; head == n {
+				head = 0
 			}
-			if p.readyAt <= now {
-				best = i
+			blocked--
+		}
+		best := -1
+		for w, word := range ready {
+			if word != 0 {
+				best = w<<6 | bits.TrailingZeros64(word)
 				break
 			}
-			if p.readyAt < soonest {
-				soonest = p.readyAt
-				best = -(i + 2) // marker: waiting
+		}
+		if best < 0 {
+			if blocked == 0 {
+				break // all done
 			}
-		}
-		if best == -1 {
-			break // all done
-		}
-		if best < -1 {
-			now = soonest // CPU idles until a fetch completes
+			now = readyAt[waiting[head]] // CPU idles until a fetch completes
 			continue
 		}
-		p := &progs[best]
 		burst := interFault
-		if burst > p.remaining {
-			burst = p.remaining
+		if burst > remaining[best] {
+			burst = remaining[best]
 		}
 		span := sim.Time(burst) * cfg.ComputePerRef
 		now += span
 		busy += span
-		p.remaining -= burst
-		if p.remaining > 0 {
+		remaining[best] -= burst
+		ready[best>>6] &^= 1 << (best & 63)
+		if remaining[best] > 0 {
 			faults++
-			p.readyAt = now + cfg.FetchTime
+			readyAt[best] = now + cfg.FetchTime
+			waiting[(head+blocked)%n] = best
+			blocked++
 		}
 	}
 	util := 0.0

@@ -62,3 +62,38 @@ func BenchmarkDistRoundTrips(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPoolStart measures worker start-up: each iteration spawns a
+// 2-worker pool of this test binary, runs one cell per worker — the
+// first reply from each proves it is up — and closes the pool. Process
+// start-up (package initialization included) dominates, so a change
+// that adds start-up work shows here.
+func BenchmarkPoolStart(b *testing.B) {
+	exe, err := os.Executable()
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs := rowJobs(2)
+	for i := 0; i < b.N; i++ {
+		p, err := NewPool(Options{
+			Workers: 2,
+			Batch:   1,
+			Command: exe,
+			Env:     append(os.Environ(), workerEnv+"=1"),
+			Stderr:  io.Discard,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := engine.New(engine.Config{Seed: 7, Executor: p})
+		for _, r := range eng.Run(context.Background(), jobs) {
+			if r.Err != nil {
+				b.Fatalf("%s: %v", r.Key, r.Err)
+			}
+		}
+		if st := p.Stats(); st.Crashes != 0 || st.Local != 0 {
+			b.Fatalf("stats = %+v, want clean remote execution", st)
+		}
+		p.Close()
+	}
+}

@@ -66,12 +66,12 @@ func scaledReplacementSweep(sc Config) (*metrics.Table, error) {
 						if err != nil {
 							return nil, err
 						}
-						return toPageIDs(tr.PageString(pageSize)), nil
+						return replace.PageString(tr.PageString(pageSize)), nil
 					})
 				if err != nil {
 					return nil, err
 				}
-				return oneRow(frames, runPageString(replace.NewLRU(), pageStr, frames)), nil
+				return oneRow(frames, replace.FaultCount(replace.NewLRU(), pageStr, frames)), nil
 			},
 		}
 	}

@@ -16,21 +16,6 @@ import (
 	"dsa/internal/workload"
 )
 
-// runPageString replays a page-reference string against a policy with a
-// fixed frame capacity and returns the fault count — the harness of
-// Belady's cited study, shared with declarative replacement scenarios.
-func runPageString(p replace.Policy, refs []replace.PageID, capacity int) int {
-	return scenario.FaultCount(p, refs, capacity)
-}
-
-func toPageIDs(pages []uint64) []replace.PageID {
-	out := make([]replace.PageID, len(pages))
-	for i, p := range pages {
-		out[i] = replace.PageID(p)
-	}
-	return out
-}
-
 // T1Replacement reproduces the replacement-strategy comparison the
 // paper builds on Belady's study [1]: fault counts for MIN, LRU, Clock,
 // FIFO, Random, the M44 class policy and the ATLAS learning program,
@@ -88,7 +73,7 @@ func t1Cells(sc Config) []cell {
 							if err != nil {
 								return nil, err
 							}
-							return toPageIDs(tr.PageString(pageSize)), nil
+							return replace.PageString(tr.PageString(pageSize)), nil
 						})
 					if err != nil {
 						return nil, err
@@ -100,7 +85,7 @@ func t1Cells(sc Config) []cell {
 						// scenarios can never mean different policies by the
 						// same name.
 						p, _ := scenario.ReplacePolicy(name, pageStr, sc.seeded(1))
-						row = append(row, runPageString(p, pageStr, frames))
+						row = append(row, replace.FaultCount(p, pageStr, frames))
 					}
 					return engine.RowBatch{row}, nil
 				},

@@ -74,15 +74,126 @@ func (t *refTLB) flush() {
 	clear(t.stamp)
 }
 
-// TestTLBMatchesReference drives the recency-list TLB and the seed
-// stamp-scan implementation through identical random workloads and
-// requires identical lookup results, statistics, and (critically)
-// identical eviction decisions throughout.
+// listEntry is one register of listTLB.
+type listEntry struct {
+	key        TLBKey
+	frame      int
+	prev, next *listEntry
+}
+
+// listTLB is the associative memory the register array replaced: a map
+// from key to register, threaded on an intrusive recency list whose
+// tail is the LRU victim, with a free list of recycled registers.
+type listTLB struct {
+	capacity   int
+	entries    map[TLBKey]*listEntry
+	head, tail *listEntry
+	free       *listEntry
+	hits       int64
+	misses     int64
+}
+
+func newListTLB(capacity int) *listTLB {
+	return &listTLB{capacity: capacity, entries: make(map[TLBKey]*listEntry, capacity)}
+}
+
+func (t *listTLB) pushFront(e *listEntry) {
+	e.prev = nil
+	e.next = t.head
+	if t.head != nil {
+		t.head.prev = e
+	} else {
+		t.tail = e
+	}
+	t.head = e
+}
+
+func (t *listTLB) unlink(e *listEntry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		t.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		t.tail = e.prev
+	}
+}
+
+func (t *listTLB) release(e *listEntry) {
+	*e = listEntry{next: t.free}
+	t.free = e
+}
+
+func (t *listTLB) lookup(k TLBKey) (int, bool) {
+	e, ok := t.entries[k]
+	if !ok {
+		t.misses++
+		return 0, false
+	}
+	t.hits++
+	t.unlink(e)
+	t.pushFront(e)
+	return e.frame, true
+}
+
+func (t *listTLB) install(k TLBKey, frame int) {
+	if t.capacity == 0 {
+		return
+	}
+	if e, ok := t.entries[k]; ok {
+		e.frame = frame
+		t.unlink(e)
+		t.pushFront(e)
+		return
+	}
+	if len(t.entries) >= t.capacity {
+		victim := t.tail
+		t.unlink(victim)
+		delete(t.entries, victim.key)
+		t.release(victim)
+	}
+	e := t.free
+	if e == nil {
+		e = &listEntry{}
+	} else {
+		t.free = e.next
+		*e = listEntry{}
+	}
+	e.key = k
+	e.frame = frame
+	t.pushFront(e)
+	t.entries[k] = e
+}
+
+func (t *listTLB) invalidate(k TLBKey) {
+	if e, ok := t.entries[k]; ok {
+		t.unlink(e)
+		delete(t.entries, k)
+		t.release(e)
+	}
+}
+
+func (t *listTLB) flush() {
+	for k, e := range t.entries {
+		delete(t.entries, k)
+		t.release(e)
+	}
+	t.head, t.tail = nil, nil
+}
+
+// TestTLBMatchesReference drives the register-array TLB, the
+// recency-list TLB it replaced and the seed stamp-map implementation
+// through identical random workloads and requires identical lookup
+// results, statistics, and (critically) identical eviction decisions
+// throughout.
 func TestTLBMatchesReference(t *testing.T) {
-	for _, capacity := range []int{0, 1, 8, 44} {
+	for _, capacity := range []int{0, 1, 2, 8, 9, 44} {
 		t.Run(fmt.Sprintf("capacity=%d", capacity), func(t *testing.T) {
 			tlb := NewTLB(capacity)
 			ref := newRefTLB(capacity)
+			list := newListTLB(capacity)
 			rng := sim.NewRNG(uint64(capacity) + 17)
 			key := func() TLBKey {
 				return TLBKey{
@@ -96,27 +207,32 @@ func TestTLBMatchesReference(t *testing.T) {
 					k := key()
 					gf, gok := tlb.Lookup(k)
 					wf, wok := ref.lookup(k)
-					if gok != wok || (gok && gf != wf) {
-						t.Fatalf("step %d: Lookup(%v) = (%d,%v), reference (%d,%v)",
-							step, k, gf, gok, wf, wok)
+					lf, lok := list.lookup(k)
+					if gok != wok || (gok && gf != wf) || lok != wok || lf != wf {
+						t.Fatalf("step %d: Lookup(%v) = (%d,%v), references (%d,%v) and (%d,%v)",
+							step, k, gf, gok, wf, wok, lf, lok)
 					}
 				case op < 18:
 					k := key()
 					f := rng.Intn(256)
 					tlb.Install(k, f)
 					ref.install(k, f)
+					list.install(k, f)
 				case op < 19:
 					k := key()
 					tlb.InvalidatePage(k)
 					ref.invalidate(k)
+					list.invalidate(k)
 				default:
 					if rng.Intn(10) == 0 { // flushes are rare
 						tlb.Flush()
 						ref.flush()
+						list.flush()
 					}
 				}
-				if tlb.Len() != len(ref.frames) {
-					t.Fatalf("step %d: Len = %d, reference %d", step, tlb.Len(), len(ref.frames))
+				if tlb.Len() != len(ref.frames) || len(list.entries) != len(ref.frames) {
+					t.Fatalf("step %d: Len = %d, references %d and %d",
+						step, tlb.Len(), len(ref.frames), len(list.entries))
 				}
 				h, m := tlb.Stats()
 				if h != ref.hits || m != ref.misses {
@@ -133,9 +249,8 @@ func TestTLBMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTLBSteadyStateAllocs pins the install/evict hot path: once the
-// entry pool is primed, the miss→install→evict churn of a sweep must
-// not allocate.
+// TestTLBSteadyStateAllocs pins the install/evict hot path: the
+// miss→install→evict churn of a sweep must not allocate.
 func TestTLBSteadyStateAllocs(t *testing.T) {
 	tlb := NewTLB(8)
 	page := uint64(0)
@@ -148,8 +263,7 @@ func TestTLBSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	}
-	cycle() // warm: fills the registers and primes the pool
-	cycle()
+	cycle() // warm: fills the registers
 	if avg := testing.AllocsPerRun(100, cycle); avg > 0 {
 		t.Fatalf("TLB lookup/install/evict cycle allocates %.1f times per run", avg)
 	}

@@ -98,7 +98,8 @@ type Pager struct {
 	cfg      Config
 	table    *mapping.PageTable
 	st       *metrics.SpaceTime
-	resident map[uint64]bool
+	resident []bool // indexed by virtual page
+	nres     int    // resident page count
 	free     []int
 	maxPage  uint64
 	stats    Stats
@@ -147,7 +148,7 @@ func New(cfg Config) (*Pager, error) {
 		cfg:      cfg,
 		table:    mapping.NewPageTable(cfg.Clock, pages, cfg.PageSize, cfg.LookupCost),
 		st:       metrics.NewSpaceTime(cfg.Clock),
-		resident: make(map[uint64]bool),
+		resident: make([]bool, pages),
 		maxPage:  uint64(pages - 1),
 	}
 	p.residentFn = p.isResident
@@ -170,7 +171,7 @@ func (p *Pager) SpaceTime() *metrics.SpaceTime { return p.st }
 func (p *Pager) Stats() Stats { return p.stats }
 
 // ResidentPages reports how many pages are resident.
-func (p *Pager) ResidentPages() int { return len(p.resident) }
+func (p *Pager) ResidentPages() int { return p.nres }
 
 // frameAddr converts a frame number to a working-storage word address.
 func (p *Pager) frameAddr(frame int) int {
@@ -281,7 +282,7 @@ func (p *Pager) fault(page uint64, _ bool) error {
 // The page just demanded is never chosen — evicting it would undo the
 // fault that was just serviced.
 func (p *Pager) replenishReserve(justLoaded uint64) error {
-	for len(p.free) < p.cfg.ReserveFrames && len(p.resident) > 1 {
+	for len(p.free) < p.cfg.ReserveFrames && p.nres > 1 {
 		victim, err := p.chooseVictimExcluding(justLoaded)
 		if err != nil {
 			if errors.Is(err, ErrAllPinned) {
@@ -299,12 +300,14 @@ func (p *Pager) replenishReserve(justLoaded uint64) error {
 	return nil
 }
 
-func (p *Pager) isResident(page uint64) bool { return p.resident[page] }
+func (p *Pager) isResident(page uint64) bool {
+	return page < uint64(len(p.resident)) && p.resident[page]
+}
 
 // loadPage makes page resident. Demand loads block (charge the clock);
 // anticipatory loads overlap when configured.
 func (p *Pager) loadPage(page uint64, demand bool) error {
-	if p.resident[page] {
+	if p.isResident(page) {
 		return nil
 	}
 	frame, err := p.takeFrame()
@@ -324,6 +327,7 @@ func (p *Pager) loadPage(page uint64, demand bool) error {
 		return err
 	}
 	p.resident[page] = true
+	p.nres++
 	p.cfg.Policy.Insert(replace.PageID(page), p.cfg.Clock.Now())
 	p.st.AddResident(int64(words))
 	p.stats.PageIns++
@@ -368,16 +372,11 @@ func (p *Pager) chooseVictimExcluding(exclude uint64) (uint64, error) {
 func (p *Pager) chooseVictimWith(exclude *uint64) (uint64, error) {
 	excluded := func(page uint64) bool { return exclude != nil && page == *exclude }
 	if a := p.cfg.Advice; a != nil {
-		var best uint64
-		found := false
-		for page := range p.resident {
-			if a.WontNeed(page) && !a.Keep(page) && !excluded(page) && (!found || page < best) {
-				best = page
-				found = true
+		for page, in := range p.resident {
+			page := uint64(page)
+			if in && a.WontNeed(page) && !a.Keep(page) && !excluded(page) {
+				return page, nil // the lowest such page
 			}
-		}
-		if found {
-			return best, nil
 		}
 	}
 	p.skipped = p.skipped[:0]
@@ -387,7 +386,7 @@ func (p *Pager) chooseVictimWith(exclude *uint64) (uint64, error) {
 			p.cfg.Policy.Insert(id, now)
 		}
 	}()
-	for i := 0; i <= len(p.resident); i++ {
+	for i := 0; i <= p.nres; i++ {
 		v, err := p.cfg.Policy.Victim(p.cfg.Clock.Now())
 		if err != nil {
 			if errors.Is(err, replace.ErrEmpty) && len(p.skipped) > 0 {
@@ -433,7 +432,8 @@ func (p *Pager) evict(page uint64, overlapped bool) (int, error) {
 		}
 		p.stats.Writebacks++
 	}
-	delete(p.resident, page)
+	p.resident[page] = false
+	p.nres--
 	p.cfg.Policy.Remove(replace.PageID(page))
 	p.st.AddResident(-int64(words))
 	p.stats.PageOuts++

@@ -42,20 +42,20 @@ type SegConfig struct {
 	FrameBase int
 }
 
-// segKey packs (segment, page) into a replace.PageID. Pages occupy the
-// low 40 bits, far beyond any simulated segment extent.
-func segKey(seg addr.SegID, page uint64) replace.PageID {
-	return replace.PageID(uint64(seg)<<40 | page)
-}
-
-func splitKey(k replace.PageID) (addr.SegID, uint64) {
-	return addr.SegID(uint64(k) >> 40), uint64(k) & (1<<40 - 1)
+// segPage names one page of a segmented name space.
+type segPage struct {
+	seg  addr.SegID
+	page uint64
 }
 
 // segState is the pager's bookkeeping for one established segment.
 type segState struct {
 	extent      addr.Name
 	backingBase int
+	// ids holds, indexed by page, the dense replacement id the pager
+	// assigned the page on its first residency, plus one (0: the page
+	// has never been resident).
+	ids []replace.PageID
 }
 
 // SegPagerStats counts SegPager events.
@@ -71,11 +71,15 @@ type SegPagerStats struct {
 type SegPager struct {
 	cfg  SegConfig
 	m    *mapping.TwoLevel
-	segs map[addr.SegID]*segState
+	segs []*segState // indexed by segment id, nil until established
 	st   *metrics.SpaceTime
 
+	// pages maps the dense replacement ids handed to the policy back to
+	// the pages they name. The policy indexes its state by id, and the
+	// (segment, page) pairs are far from dense.
+	pages       []segPage
 	free        []int
-	frameOf     map[replace.PageID]int
+	resident    int
 	backingNext int
 	stats       SegPagerStats
 }
@@ -97,16 +101,36 @@ func NewSegPager(cfg SegConfig) (*SegPager, error) {
 			cfg.Frames, cfg.PageSize, cfg.Working.Capacity())
 	}
 	p := &SegPager{
-		cfg:     cfg,
-		m:       mapping.NewTwoLevel(cfg.Clock, cfg.MaxSegments, cfg.TLBSize, cfg.LookupCost),
-		segs:    make(map[addr.SegID]*segState),
-		st:      metrics.NewSpaceTime(cfg.Clock),
-		frameOf: make(map[replace.PageID]int),
+		cfg:  cfg,
+		m:    mapping.NewTwoLevel(cfg.Clock, cfg.MaxSegments, cfg.TLBSize, cfg.LookupCost),
+		segs: make([]*segState, cfg.MaxSegments),
+		st:   metrics.NewSpaceTime(cfg.Clock),
 	}
 	for f := cfg.Frames - 1; f >= 0; f-- {
 		p.free = append(p.free, f)
 	}
 	return p, nil
+}
+
+// seg returns the state of an established segment, or nil.
+func (p *SegPager) seg(seg addr.SegID) *segState {
+	if uint64(seg) >= uint64(len(p.segs)) {
+		return nil
+	}
+	return p.segs[seg]
+}
+
+// pageID returns the dense replacement id of (seg, page), assigning the
+// next one on the page's first residency.
+func (p *SegPager) pageID(s *segState, seg addr.SegID, page uint64) replace.PageID {
+	if page >= uint64(len(s.ids)) {
+		s.ids = append(s.ids, make([]replace.PageID, page+1-uint64(len(s.ids)))...)
+	}
+	if s.ids[page] == 0 {
+		p.pages = append(p.pages, segPage{seg: seg, page: page})
+		s.ids[page] = replace.PageID(len(p.pages))
+	}
+	return s.ids[page] - 1
 }
 
 // Mapping exposes the two-level mapper (TLB statistics, tables).
@@ -125,7 +149,7 @@ func (p *SegPager) Establish(seg addr.SegID, extent addr.Name) error {
 	if extent == 0 {
 		return fmt.Errorf("paging: zero extent for segment %d", seg)
 	}
-	if _, dup := p.segs[seg]; dup {
+	if p.seg(seg) != nil {
 		return fmt.Errorf("paging: segment %d already established", seg)
 	}
 	span := (uint64(extent) + p.cfg.PageSize - 1) / p.cfg.PageSize * p.cfg.PageSize
@@ -144,8 +168,8 @@ func (p *SegPager) Establish(seg addr.SegID, extent addr.Name) error {
 // backing reservation is page-granular; growth beyond it reserves a
 // fresh image and copies the old one.
 func (p *SegPager) Grow(seg addr.SegID, extent addr.Name) error {
-	s, ok := p.segs[seg]
-	if !ok {
+	s := p.seg(seg)
+	if s == nil {
 		return fmt.Errorf("%w: segment %d", addr.ErrUnknownSegment, seg)
 	}
 	if extent == 0 {
@@ -208,8 +232,9 @@ func (p *SegPager) access(seg addr.SegID, off addr.Name, write bool) (addr.Addre
 	p.stats.Refs++
 	a, err := p.m.Translate(seg, off, write)
 	if err == nil {
-		key := segKey(seg, uint64(off)/p.cfg.PageSize)
-		p.cfg.Policy.Touch(key, p.cfg.Clock.Now(), write)
+		// A hit means the page is resident, so it has its id already.
+		id := p.segs[seg].ids[uint64(off)/p.cfg.PageSize] - 1
+		p.cfg.Policy.Touch(id, p.cfg.Clock.Now(), write)
 		return a + addr.Address(p.cfg.FrameBase), nil
 	}
 	// Translate returns the fault unwrapped; a type assertion avoids
@@ -235,7 +260,7 @@ func (p *SegPager) pageFault(seg addr.SegID, page uint64, _ bool) error {
 	p.st.BeginWait()
 	defer p.st.EndWait()
 
-	s := p.segs[seg]
+	s := p.seg(seg)
 	if s == nil {
 		return fmt.Errorf("%w: segment %d", addr.ErrUnknownSegment, seg)
 	}
@@ -255,9 +280,8 @@ func (p *SegPager) pageFault(seg addr.SegID, page uint64, _ bool) error {
 	if err := e.Table.SetEntry(page, frame); err != nil {
 		return err
 	}
-	key := segKey(seg, page)
-	p.frameOf[key] = frame
-	p.cfg.Policy.Insert(key, p.cfg.Clock.Now())
+	p.resident++
+	p.cfg.Policy.Insert(p.pageID(s, seg, page), p.cfg.Clock.Now())
 	p.st.AddResident(int64(words))
 	p.stats.PageIns++
 	return nil
@@ -284,8 +308,11 @@ func (p *SegPager) takeSegFrame() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	vSeg, vPage := splitKey(v)
-	s := p.segs[vSeg]
+	if uint64(v) >= uint64(len(p.pages)) {
+		return 0, fmt.Errorf("paging: policy victim %d was never resident", v)
+	}
+	vSeg, vPage := p.pages[v].seg, p.pages[v].page
+	s := p.seg(vSeg)
 	e, err := p.m.Segment(vSeg)
 	if err != nil || s == nil || e.Table == nil {
 		return 0, fmt.Errorf("paging: victim %d/%d has no segment state", vSeg, vPage)
@@ -307,11 +334,11 @@ func (p *SegPager) takeSegFrame() (int, error) {
 	}
 	p.m.TLB().InvalidatePage(mapping.TLBKey{Seg: vSeg, Page: vPage})
 	p.cfg.Policy.Remove(v)
-	delete(p.frameOf, v)
+	p.resident--
 	p.st.AddResident(-int64(words))
 	p.stats.PageOuts++
 	return entry.Frame, nil
 }
 
 // ResidentPages reports how many pages are in frames.
-func (p *SegPager) ResidentPages() int { return len(p.frameOf) }
+func (p *SegPager) ResidentPages() int { return p.resident }

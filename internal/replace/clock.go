@@ -9,32 +9,31 @@ import "dsa/internal/sim"
 // bit is the victim.
 type Clock struct {
 	ring []PageID
-	use  map[PageID]bool
-	pos  map[PageID]int
+	use  []bool // indexed by page id
+	pos  slots
 	hand int
 }
 
 // NewClock returns an empty Clock policy.
-func NewClock() *Clock {
-	return &Clock{use: make(map[PageID]bool), pos: make(map[PageID]int)}
-}
+func NewClock() *Clock { return &Clock{} }
 
 // Name implements Policy.
 func (*Clock) Name() string { return "clock" }
 
 // Insert implements Policy.
 func (c *Clock) Insert(id PageID, _ sim.Time) {
-	if _, ok := c.pos[id]; ok {
+	if _, ok := c.pos.get(id); ok {
 		return
 	}
-	c.pos[id] = len(c.ring)
+	c.pos.set(id, len(c.ring))
 	c.ring = append(c.ring, id)
+	c.use = grow(c.use, id)
 	c.use[id] = true
 }
 
 // Touch implements Policy.
 func (c *Clock) Touch(id PageID, _ sim.Time, _ bool) {
-	if _, ok := c.pos[id]; ok {
+	if _, ok := c.pos.get(id); ok {
 		c.use[id] = true
 	}
 }
@@ -62,16 +61,15 @@ func (c *Clock) Victim(sim.Time) (PageID, error) {
 
 // Remove implements Policy.
 func (c *Clock) Remove(id PageID) {
-	i, ok := c.pos[id]
+	i, ok := c.pos.get(id)
 	if !ok {
 		return
 	}
 	last := len(c.ring) - 1
 	c.ring[i] = c.ring[last]
-	c.pos[c.ring[i]] = i
+	c.pos[c.ring[i]] = i + 1
 	c.ring = c.ring[:last]
-	delete(c.pos, id)
-	delete(c.use, id)
+	c.pos[id] = 0
 	if c.hand > last {
 		c.hand = 0
 	}
@@ -87,14 +85,15 @@ func (c *Clock) Len() int { return len(c.ring) }
 // used & dirty). Use bits age on every victim selection, standing in
 // for the periodic sensor interrogation of the real hardware.
 //
-// The use and modify bits live in slices parallel to ids, and the
-// candidate set is a reusable buffer, so victim selection neither
-// iterates maps nor allocates. Candidates accumulate in ids order
-// exactly as before, so the single rng.Intn draw picks the same victim.
+// The use and modify bits live in slices parallel to ids, the
+// id→position index is a slice indexed by page id, and the candidate
+// set is a reusable buffer, so victim selection neither iterates maps
+// nor allocates. Candidates accumulate in ids order exactly as before,
+// so the single rng.Intn draw picks the same victim.
 type M44Random struct {
 	rng        *sim.RNG
 	ids        []PageID
-	index      map[PageID]int
+	index      slots
 	used       []bool
 	dirty      []bool
 	candidates []int // scratch for Victim, indices into ids
@@ -102,10 +101,7 @@ type M44Random struct {
 
 // NewM44Random returns an M44Random policy drawing from rng.
 func NewM44Random(rng *sim.RNG) *M44Random {
-	return &M44Random{
-		rng:   rng,
-		index: make(map[PageID]int),
-	}
+	return &M44Random{rng: rng}
 }
 
 // Name implements Policy.
@@ -113,10 +109,10 @@ func (*M44Random) Name() string { return "m44-random" }
 
 // Insert implements Policy.
 func (m *M44Random) Insert(id PageID, _ sim.Time) {
-	if _, ok := m.index[id]; ok {
+	if _, ok := m.index.get(id); ok {
 		return
 	}
-	m.index[id] = len(m.ids)
+	m.index.set(id, len(m.ids))
 	m.ids = append(m.ids, id)
 	m.used = append(m.used, true)
 	m.dirty = append(m.dirty, false)
@@ -124,7 +120,7 @@ func (m *M44Random) Insert(id PageID, _ sim.Time) {
 
 // Touch implements Policy.
 func (m *M44Random) Touch(id PageID, _ sim.Time, write bool) {
-	i, ok := m.index[id]
+	i, ok := m.index.get(id)
 	if !ok {
 		return
 	}
@@ -173,7 +169,7 @@ func (m *M44Random) Victim(sim.Time) (PageID, error) {
 
 // Remove implements Policy.
 func (m *M44Random) Remove(id PageID) {
-	i, ok := m.index[id]
+	i, ok := m.index.get(id)
 	if !ok {
 		return
 	}
@@ -181,11 +177,11 @@ func (m *M44Random) Remove(id PageID) {
 	m.ids[i] = m.ids[last]
 	m.used[i] = m.used[last]
 	m.dirty[i] = m.dirty[last]
-	m.index[m.ids[i]] = i
+	m.index[m.ids[i]] = i + 1
 	m.ids = m.ids[:last]
 	m.used = m.used[:last]
 	m.dirty = m.dirty[:last]
-	delete(m.index, id)
+	m.index[id] = 0
 }
 
 // Len implements Policy.

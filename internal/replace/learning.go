@@ -30,14 +30,15 @@ type learnEntry struct {
 // superior to LRU/FIFO on ATLAS's looping scientific codes and which
 // experiment T1 reproduces.
 //
-// The records live in a dense slice (with an id→slot index for O(1)
-// Touch/Remove) so the two victim-selection passes scan contiguous
-// memory instead of iterating maps. Both passes break ties by sequence
+// The records live in a dense slice, with an id→slot index (itself a
+// slice indexed by page id) for O(1) Touch/Remove, so the two
+// victim-selection passes scan contiguous memory instead of iterating
+// maps. Both passes break ties by sequence
 // number, so the winner does not depend on scan order and matches the
 // map-iteration original exactly.
 type Learning struct {
 	entries []learnEntry
-	index   map[PageID]int
+	index   slots
 	n       uint64
 	// Slack is the multiple of T beyond which a page is deemed out of
 	// use; ATLAS used a small constant margin. 1 means t > T.
@@ -46,10 +47,7 @@ type Learning struct {
 
 // NewLearning returns an ATLAS learning policy.
 func NewLearning() *Learning {
-	return &Learning{
-		index: make(map[PageID]int),
-		Slack: 1,
-	}
+	return &Learning{Slack: 1}
 }
 
 // Name implements Policy.
@@ -57,11 +55,11 @@ func (*Learning) Name() string { return "atlas-learning" }
 
 // Insert implements Policy.
 func (l *Learning) Insert(id PageID, now sim.Time) {
-	if _, ok := l.index[id]; ok {
+	if _, ok := l.index.get(id); ok {
 		return
 	}
 	l.n++
-	l.index[id] = len(l.entries)
+	l.index.set(id, len(l.entries))
 	l.entries = append(l.entries, learnEntry{
 		id:       id,
 		lastUse:  now,
@@ -72,7 +70,7 @@ func (l *Learning) Insert(id PageID, now sim.Time) {
 
 // Touch implements Policy.
 func (l *Learning) Touch(id PageID, now sim.Time, _ bool) {
-	i, ok := l.index[id]
+	i, ok := l.index.get(id)
 	if !ok {
 		return
 	}
@@ -129,15 +127,15 @@ func (l *Learning) Victim(now sim.Time) (PageID, error) {
 
 // Remove implements Policy.
 func (l *Learning) Remove(id PageID) {
-	i, ok := l.index[id]
+	i, ok := l.index.get(id)
 	if !ok {
 		return
 	}
 	last := len(l.entries) - 1
 	l.entries[i] = l.entries[last]
-	l.index[l.entries[i].id] = i
+	l.index[l.entries[i].id] = i + 1
 	l.entries = l.entries[:last]
-	delete(l.index, id)
+	l.index[id] = 0
 }
 
 // Len implements Policy.

@@ -16,31 +16,36 @@ type MIN struct {
 	// precomputed array replaces the per-page position queues, whose
 	// construction dominated NewMIN's allocations.
 	next []int
-	// nextUse maps each resident page to the position of its next
-	// reference after the reference that last consumed it.
-	nextUse  map[PageID]int
-	cursor   int
-	resident map[PageID]bool
+	// nextUse holds, indexed by page id, the position of each resident
+	// page's next reference after the reference that last consumed it.
+	nextUse []int
+	cursor  int
+	// ids lists the resident pages, which Victim scans; pos indexes
+	// them by page id.
+	ids []PageID
+	pos slots
 }
 
 // NewMIN builds the policy for a known future page-reference string.
 // The caller must Touch pages in exactly the order of refs.
 func NewMIN(refs []PageID) *MIN {
 	m := &MIN{
-		future:   refs,
-		next:     make([]int, len(refs)),
-		nextUse:  make(map[PageID]int),
-		resident: make(map[PageID]bool),
+		future: refs,
+		next:   make([]int, len(refs)),
 	}
-	last := make(map[PageID]int)
+	var bound PageID
+	for _, p := range refs {
+		bound = max(bound, p+1)
+	}
+	last := make([]int, bound) // position+1 of the page's next reference; 0 = none
 	for i := len(refs) - 1; i >= 0; i-- {
 		p := refs[i]
-		if j, ok := last[p]; ok {
-			m.next[i] = j
+		if j := last[p]; j > 0 {
+			m.next[i] = j - 1
 		} else {
 			m.next[i] = len(refs) + 1 // never used again
 		}
-		last[p] = i
+		last[p] = i + 1
 	}
 	return m
 }
@@ -51,6 +56,7 @@ func (*MIN) Name() string { return "belady-min" }
 // consume advances the cursor past the current reference and records
 // the consumed page's next use.
 func (m *MIN) consume(id PageID) {
+	m.nextUse = grow(m.nextUse, id)
 	if m.cursor < len(m.next) {
 		m.nextUse[id] = m.next[m.cursor]
 	} else {
@@ -62,7 +68,10 @@ func (m *MIN) consume(id PageID) {
 // Insert implements Policy. The insertion reference consumes one
 // position of the future string.
 func (m *MIN) Insert(id PageID, _ sim.Time) {
-	m.resident[id] = true
+	if _, ok := m.pos.get(id); !ok {
+		m.pos.set(id, len(m.ids))
+		m.ids = append(m.ids, id)
+	}
 	m.consume(id)
 }
 
@@ -71,27 +80,36 @@ func (m *MIN) Insert(id PageID, _ sim.Time) {
 func (m *MIN) Touch(id PageID, _ sim.Time, _ bool) { m.consume(id) }
 
 // Victim implements Policy: the resident page with the farthest (or no)
-// next use.
+// next use, the lowest id among ties, so the scan order of the
+// resident list does not matter.
 func (m *MIN) Victim(sim.Time) (PageID, error) {
-	if len(m.resident) == 0 {
+	if len(m.ids) == 0 {
 		return 0, ErrEmpty
 	}
-	var victim PageID
-	bestNext := -1
-	first := true
-	for id := range m.resident {
+	victim := m.ids[0]
+	bestNext := m.nextUse[victim]
+	for _, id := range m.ids[1:] {
 		next := m.nextUse[id]
-		if first || next > bestNext || (next == bestNext && id < victim) {
+		if next > bestNext || (next == bestNext && id < victim) {
 			victim = id
 			bestNext = next
-			first = false
 		}
 	}
 	return victim, nil
 }
 
 // Remove implements Policy.
-func (m *MIN) Remove(id PageID) { delete(m.resident, id) }
+func (m *MIN) Remove(id PageID) {
+	i, ok := m.pos.get(id)
+	if !ok {
+		return
+	}
+	last := len(m.ids) - 1
+	m.ids[i] = m.ids[last]
+	m.pos[m.ids[i]] = i + 1
+	m.ids = m.ids[:last]
+	m.pos[id] = 0
+}
 
 // Len implements Policy.
-func (m *MIN) Len() int { return len(m.resident) }
+func (m *MIN) Len() int { return len(m.ids) }

@@ -234,7 +234,8 @@ func (m *refM44) Remove(id PageID) {
 
 // driveLockstep runs a random insert/touch/victim/remove workload
 // against a policy and a shadow, failing on any divergence. The clock
-// advances monotonically, as the paging engine's clock does.
+// advances monotonically, as the paging engine's clock does. Evicted
+// pages come back now and then, as they do under paging.
 func driveLockstep(t *testing.T, seed uint64, steps int,
 	insert func(PageID, sim.Time),
 	touch func(PageID, sim.Time, bool),
@@ -245,7 +246,7 @@ func driveLockstep(t *testing.T, seed uint64, steps int,
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	var now sim.Time
-	var resident []PageID
+	var resident, gone []PageID
 	nextID := PageID(1)
 	for step := 0; step < steps; step++ {
 		now += sim.Time(rng.Intn(3)) // monotonic, with ties
@@ -259,7 +260,13 @@ func driveLockstep(t *testing.T, seed uint64, steps int,
 				continue
 			}
 			id := nextID
-			nextID++
+			if len(gone) > 0 && rng.Intn(3) == 0 {
+				j := rng.Intn(len(gone))
+				id = gone[j]
+				gone = append(gone[:j], gone[j+1:]...)
+			} else {
+				nextID++
+			}
 			insert(id, now)
 			resident = append(resident, id)
 		case op < 7: // touch a resident page (or a bogus one)
@@ -274,6 +281,7 @@ func driveLockstep(t *testing.T, seed uint64, steps int,
 				continue
 			}
 			remove(id)
+			gone = append(gone, id)
 			for i, r := range resident {
 				if r == id {
 					resident = append(resident[:i], resident[i+1:]...)
@@ -284,6 +292,7 @@ func driveLockstep(t *testing.T, seed uint64, steps int,
 			if len(resident) > 0 {
 				j := rng.Intn(len(resident))
 				remove(resident[j])
+				gone = append(gone, resident[j])
 				resident = append(resident[:j], resident[j+1:]...)
 			}
 		}
@@ -432,7 +441,7 @@ func TestPolicySteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			l.Remove(v)
-			l.Insert(v, now) // recycled from the entry pool
+			l.Insert(v, now) // its slot already exists
 		}
 		cycle()
 		if avg := testing.AllocsPerRun(100, cycle); avg > 0 {

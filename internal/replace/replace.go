@@ -18,10 +18,32 @@
 //
 // A Policy tracks only residency metadata; the paging engine owns the
 // frames. All policies are deterministic given their RNG seed.
+//
+// # Dense page ids
+//
+// Page ids are small integers, and every policy indexes its per-page
+// state by id in slices that grow to the largest id seen, so a
+// reference costs array indexing rather than hashing an id through a
+// map. The callers keep ids bounded:
+//
+//   - a page string from PageString renames its pages 0, 1, 2, … in
+//     increasing page order, so its ids are bounded by its distinct
+//     pages however sparse the name space;
+//   - paging.Pager passes virtual page numbers, bounded by its extent;
+//   - segment.Manager passes segment ids, which its dictionary hands
+//     out in sequence;
+//   - paging.SegPager packs (segment, page) into a 64-bit key that is
+//     far from dense, so it assigns each page a dense id on first
+//     residency and translates victims back.
+//
+// No policy compares ids except MIN, whose tie-break prefers the lower
+// id; PageString's renaming preserves id order, so renaming pages
+// changes no victim.
 package replace
 
 import (
 	"errors"
+	"slices"
 
 	"dsa/internal/sim"
 )
@@ -58,6 +80,33 @@ type Policy interface {
 	Len() int
 }
 
+// slots maps page ids to positions in a policy's dense array of
+// resident pages. It is indexed by id and stores position+1, so the
+// zero value means absent and growing it zero-fills.
+type slots []int
+
+// get reports id's position, if it is resident.
+func (s slots) get(id PageID) (int, bool) {
+	if uint64(id) >= uint64(len(s)) || s[id] == 0 {
+		return 0, false
+	}
+	return s[id] - 1, true
+}
+
+// set records id at position i, growing the index to cover id.
+func (s *slots) set(id PageID, i int) {
+	*s = grow(*s, id)
+	(*s)[id] = i + 1
+}
+
+// grow returns s extended with zero values so that s[id] is valid.
+func grow[T any](s []T, id PageID) []T {
+	if uint64(id) < uint64(len(s)) {
+		return s
+	}
+	return append(s, make([]T, int(id)+1-len(s))...)
+}
+
 // FIFO evicts the page resident longest. The queue is a slice behind
 // an advancing head index: re-slicing the head away (queue = queue[1:])
 // made every append past capacity reallocate forever, because the
@@ -67,21 +116,26 @@ type Policy interface {
 type FIFO struct {
 	queue []PageID
 	head  int
-	pos   map[PageID]bool
+	in    []bool // indexed by page id
+	n     int
 }
 
 // NewFIFO returns an empty FIFO policy.
-func NewFIFO() *FIFO { return &FIFO{pos: make(map[PageID]bool)} }
+func NewFIFO() *FIFO { return &FIFO{} }
 
 // Name implements Policy.
 func (*FIFO) Name() string { return "fifo" }
 
+func (f *FIFO) resident(id PageID) bool { return uint64(id) < uint64(len(f.in)) && f.in[id] }
+
 // Insert implements Policy.
 func (f *FIFO) Insert(id PageID, _ sim.Time) {
-	if f.pos[id] {
+	if f.resident(id) {
 		return
 	}
-	f.pos[id] = true
+	f.in = grow(f.in, id)
+	f.in[id] = true
+	f.n++
 	if len(f.queue) == cap(f.queue) && f.head > 0 {
 		n := copy(f.queue, f.queue[f.head:])
 		f.queue = f.queue[:n]
@@ -95,27 +149,24 @@ func (f *FIFO) Touch(PageID, sim.Time, bool) {}
 
 // Victim implements Policy.
 func (f *FIFO) Victim(sim.Time) (PageID, error) {
-	for f.head < len(f.queue) {
-		id := f.queue[f.head]
-		if f.pos[id] {
-			return id, nil
-		}
-		f.head++ // lazily drop removed entries
+	if f.n == 0 {
+		return 0, ErrEmpty
 	}
-	return 0, ErrEmpty
+	return f.queue[f.head], nil
 }
 
 // Remove implements Policy.
 func (f *FIFO) Remove(id PageID) {
-	if !f.pos[id] {
+	if !f.resident(id) {
 		return
 	}
-	delete(f.pos, id)
-	if f.head < len(f.queue) && f.queue[f.head] == id {
+	f.in[id] = false
+	f.n--
+	if f.queue[f.head] == id {
 		f.head++
 		return
 	}
-	for i := f.head; i < len(f.queue); i++ {
+	for i := f.head + 1; i < len(f.queue); i++ {
 		if f.queue[i] == id {
 			f.queue = append(f.queue[:i], f.queue[i+1:]...)
 			break
@@ -124,141 +175,135 @@ func (f *FIFO) Remove(id PageID) {
 }
 
 // Len implements Policy.
-func (f *FIFO) Len() int { return len(f.pos) }
+func (f *FIFO) Len() int { return f.n }
 
-// lruEntry is one resident page on the LRU recency list.
-type lruEntry struct {
-	id         PageID
-	prev, next *lruEntry
+// noPage terminates the LRU recency list.
+const noPage = ^PageID(0)
+
+// lruLink is one page's place on the LRU recency list.
+type lruLink struct {
+	prev, next PageID
+	in         bool
 }
 
 // LRU evicts the least recently used page. The resident pages live on
-// an intrusive recency list (head = most recent), so victim selection
-// is O(1) instead of a scan for the oldest timestamp. Because the
-// simulation clock never runs backward and references at equal times
-// were ordered by a strictly increasing sequence number, recency-list
-// order is exactly the (timestamp, sequence) order the scan minimized:
-// the victims are identical.
+// a recency list (head = most recent) threaded through a slice indexed
+// by page id, so victim selection is O(1) instead of a scan for the
+// oldest timestamp. Because the simulation clock never runs backward
+// and references at equal times were ordered by a strictly increasing
+// sequence number, recency-list order is exactly the (timestamp,
+// sequence) order the scan minimized: the victims are identical.
 type LRU struct {
-	entries    map[PageID]*lruEntry
-	head, tail *lruEntry
-	free       *lruEntry // recycled entries, chained through next
+	links      []lruLink
+	head, tail PageID // noPage when empty
+	n          int
 }
 
 // NewLRU returns an empty LRU policy.
-func NewLRU() *LRU {
-	return &LRU{entries: make(map[PageID]*lruEntry)}
-}
+func NewLRU() *LRU { return &LRU{head: noPage, tail: noPage} }
 
 // Name implements Policy.
 func (*LRU) Name() string { return "lru" }
 
-// pushFront links a detached entry at the head of the recency list.
-func (l *LRU) pushFront(e *lruEntry) {
-	e.prev = nil
+func (l *LRU) resident(id PageID) bool { return uint64(id) < uint64(len(l.links)) && l.links[id].in }
+
+// pushFront links a detached page at the head of the recency list.
+func (l *LRU) pushFront(id PageID) {
+	e := &l.links[id]
+	e.prev = noPage
 	e.next = l.head
-	if l.head != nil {
-		l.head.prev = e
+	if l.head != noPage {
+		l.links[l.head].prev = id
 	} else {
-		l.tail = e
+		l.tail = id
 	}
-	l.head = e
+	l.head = id
 }
 
-// moveToFront makes e the most recently used entry.
-func (l *LRU) moveToFront(e *lruEntry) {
-	if l.head == e {
-		return
+// unlink detaches a resident page from the recency list.
+func (l *LRU) unlink(id PageID) {
+	e := &l.links[id]
+	if e.prev != noPage {
+		l.links[e.prev].next = e.next
+	} else {
+		l.head = e.next
 	}
-	e.prev.next = e.next
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != noPage {
+		l.links[e.next].prev = e.prev
 	} else {
 		l.tail = e.prev
 	}
-	l.pushFront(e)
+}
+
+// moveToFront makes a resident page the most recently used.
+func (l *LRU) moveToFront(id PageID) {
+	if l.head != id {
+		l.unlink(id)
+		l.pushFront(id)
+	}
 }
 
 // Insert implements Policy. Re-inserting a resident page refreshes its
 // recency, matching the timestamp overwrite of the original
 // implementation.
 func (l *LRU) Insert(id PageID, _ sim.Time) {
-	if e, ok := l.entries[id]; ok {
-		l.moveToFront(e)
+	if l.resident(id) {
+		l.moveToFront(id)
 		return
 	}
-	e := l.free
-	if e == nil {
-		e = &lruEntry{}
-	} else {
-		l.free = e.next
-		*e = lruEntry{}
-	}
-	e.id = id
-	l.pushFront(e)
-	l.entries[id] = e
+	l.links = grow(l.links, id)
+	l.links[id].in = true
+	l.n++
+	l.pushFront(id)
 }
 
 // Touch implements Policy.
 func (l *LRU) Touch(id PageID, _ sim.Time, _ bool) {
-	if e, ok := l.entries[id]; ok {
-		l.moveToFront(e)
+	if l.resident(id) {
+		l.moveToFront(id)
 	}
 }
 
 // Victim implements Policy.
 func (l *LRU) Victim(sim.Time) (PageID, error) {
-	if l.tail == nil {
+	if l.tail == noPage {
 		return 0, ErrEmpty
 	}
-	return l.tail.id, nil
+	return l.tail, nil
 }
 
 // Remove implements Policy.
 func (l *LRU) Remove(id PageID) {
-	e, ok := l.entries[id]
-	if !ok {
+	if !l.resident(id) {
 		return
 	}
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		l.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		l.tail = e.prev
-	}
-	delete(l.entries, id)
-	*e = lruEntry{next: l.free}
-	l.free = e
+	l.unlink(id)
+	l.links[id].in = false
+	l.n--
 }
 
 // Len implements Policy.
-func (l *LRU) Len() int { return len(l.entries) }
+func (l *LRU) Len() int { return l.n }
 
 // Random evicts a uniformly random resident page.
 type Random struct {
 	rng   *sim.RNG
 	ids   []PageID
-	index map[PageID]int
+	index slots
 }
 
 // NewRandom returns a Random policy drawing from rng.
-func NewRandom(rng *sim.RNG) *Random {
-	return &Random{rng: rng, index: make(map[PageID]int)}
-}
+func NewRandom(rng *sim.RNG) *Random { return &Random{rng: rng} }
 
 // Name implements Policy.
 func (*Random) Name() string { return "random" }
 
 // Insert implements Policy.
 func (r *Random) Insert(id PageID, _ sim.Time) {
-	if _, ok := r.index[id]; ok {
+	if _, ok := r.index.get(id); ok {
 		return
 	}
-	r.index[id] = len(r.ids)
+	r.index.set(id, len(r.ids))
 	r.ids = append(r.ids, id)
 }
 
@@ -275,16 +320,93 @@ func (r *Random) Victim(sim.Time) (PageID, error) {
 
 // Remove implements Policy.
 func (r *Random) Remove(id PageID) {
-	i, ok := r.index[id]
+	i, ok := r.index.get(id)
 	if !ok {
 		return
 	}
 	last := len(r.ids) - 1
 	r.ids[i] = r.ids[last]
-	r.index[r.ids[i]] = i
+	r.index[r.ids[i]] = i + 1
 	r.ids = r.ids[:last]
-	delete(r.index, id)
+	r.index[id] = 0
 }
 
 // Len implements Policy.
 func (r *Random) Len() int { return len(r.ids) }
+
+// FaultCount replays a page-reference string against a policy with a
+// fixed frame capacity and returns the fault count — the harness of
+// Belady's cited study, behind experiment T1 and declarative
+// replacement scenarios. The resident set is indexed by page id, so
+// refs should carry dense ids (see PageString); after the set is
+// sized, a reference allocates nothing here.
+func FaultCount(p Policy, refs []PageID, capacity int) int {
+	var bound PageID
+	for _, r := range refs {
+		bound = max(bound, r+1)
+	}
+	var clock sim.Clock
+	resident := make([]bool, bound)
+	n, faults := 0, 0
+	for _, r := range refs {
+		clock.Advance(1)
+		if resident[r] {
+			p.Touch(r, clock.Now(), false)
+			continue
+		}
+		faults++
+		if n == capacity {
+			v, err := p.Victim(clock.Now())
+			if err != nil {
+				panic(err)
+			}
+			p.Remove(v)
+			resident[v] = false
+			n--
+		}
+		resident[r] = true
+		n++
+		p.Insert(r, clock.Now())
+	}
+	return faults
+}
+
+// PageString turns a trace's page numbers into a page-reference string
+// with dense ids: the distinct pages are renamed 0, 1, 2, … in
+// increasing page order. The renaming preserves id order, so every
+// policy picks the same victims (and FaultCount the same count) as on
+// the raw page numbers, while ids stay bounded by the number of
+// distinct pages however sparse the name space.
+func PageString(pages []uint64) []PageID {
+	var top uint64
+	for _, p := range pages {
+		top = max(top, p)
+	}
+	out := make([]PageID, len(pages))
+	if top < uint64(len(pages)) {
+		// Dense enough to rank through a table indexed by page.
+		rank := make([]PageID, top+1)
+		for _, p := range pages {
+			rank[p] = 1
+		}
+		next := PageID(0)
+		for p, seen := range rank {
+			if seen != 0 {
+				rank[p] = next
+				next++
+			}
+		}
+		for i, p := range pages {
+			out[i] = rank[p]
+		}
+		return out
+	}
+	distinct := slices.Clone(pages)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	for i, p := range pages {
+		r, _ := slices.BinarySearch(distinct, p)
+		out[i] = PageID(r)
+	}
+	return out
+}

@@ -8,34 +8,6 @@ import (
 	"dsa/internal/sim"
 )
 
-// runString replays a page-reference string against a policy with the
-// given frame capacity and returns the fault count. It is the minimal
-// paging loop the full engine in internal/paging elaborates.
-func runString(p Policy, refs []PageID, capacity int) int {
-	var clock sim.Clock
-	resident := make(map[PageID]bool)
-	faults := 0
-	for _, r := range refs {
-		clock.Advance(1)
-		if resident[r] {
-			p.Touch(r, clock.Now(), false)
-			continue
-		}
-		faults++
-		if len(resident) == capacity {
-			v, err := p.Victim(clock.Now())
-			if err != nil {
-				panic(err)
-			}
-			p.Remove(v)
-			delete(resident, v)
-		}
-		resident[r] = true
-		p.Insert(r, clock.Now())
-	}
-	return faults
-}
-
 func policies(future []PageID) map[string]Policy {
 	return map[string]Policy{
 		"fifo":           NewFIFO(),
@@ -243,7 +215,7 @@ func TestLearningAllInUseChoosesFarthestPredicted(t *testing.T) {
 func TestMINIsOptimalOnKnownString(t *testing.T) {
 	// Classic example: with 3 frames, string a b c d a b e a b c d e.
 	s := []PageID{1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5}
-	min := runString(NewMIN(s), s, 3)
+	min := FaultCount(NewMIN(s), s, 3)
 	if min != 7 {
 		t.Errorf("MIN faults = %d, want 7 (textbook value)", min)
 	}
@@ -252,7 +224,7 @@ func TestMINIsOptimalOnKnownString(t *testing.T) {
 		if name == "belady-min" {
 			continue
 		}
-		if got := runString(p, s, 3); got < min {
+		if got := FaultCount(p, s, 3); got < min {
 			t.Errorf("%s faults %d < MIN %d — impossible", name, got, min)
 		}
 	}
@@ -270,12 +242,12 @@ func TestMINLowerBoundProperty(t *testing.T) {
 				refs[i] = PageID(8 + rng.Intn(64))
 			}
 		}
-		min := runString(NewMIN(refs), refs, 6)
+		min := FaultCount(NewMIN(refs), refs, 6)
 		for name, p := range policies(refs) {
 			if name == "belady-min" {
 				continue
 			}
-			if runString(p, refs, 6) < min {
+			if FaultCount(p, refs, 6) < min {
 				return false
 			}
 		}
@@ -296,9 +268,9 @@ func TestLRUBeatsFIFOOnLocality(t *testing.T) {
 			refs[i] = PageID(6 + rng.Intn(200))
 		}
 	}
-	lru := runString(NewLRU(), refs, 8)
-	fifo := runString(NewFIFO(), refs, 8)
-	rand := runString(NewRandom(sim.NewRNG(1)), refs, 8)
+	lru := FaultCount(NewLRU(), refs, 8)
+	fifo := FaultCount(NewFIFO(), refs, 8)
+	rand := FaultCount(NewRandom(sim.NewRNG(1)), refs, 8)
 	if lru > fifo {
 		t.Errorf("LRU (%d) worse than FIFO (%d) on locality trace", lru, fifo)
 	}
@@ -318,8 +290,8 @@ func TestLearningHandlesLoopBetterThanLRU(t *testing.T) {
 			refs = append(refs, p)
 		}
 	}
-	lru := runString(NewLRU(), refs, frames)
-	learning := runString(NewLearning(), refs, frames)
+	lru := FaultCount(NewLRU(), refs, frames)
+	learning := FaultCount(NewLearning(), refs, frames)
 	if lru < len(refs)*9/10 {
 		t.Fatalf("LRU faults %d; expected near-total %d (loop pathology)", lru, len(refs))
 	}
@@ -338,9 +310,9 @@ func TestClockApproximatesLRU(t *testing.T) {
 			refs[i] = PageID(10 + rng.Intn(100))
 		}
 	}
-	lru := runString(NewLRU(), refs, 12)
-	clock := runString(NewClock(), refs, 12)
-	fifo := runString(NewFIFO(), refs, 12)
+	lru := FaultCount(NewLRU(), refs, 12)
+	clock := FaultCount(NewClock(), refs, 12)
+	fifo := FaultCount(NewFIFO(), refs, 12)
 	// Clock should land between LRU and FIFO (inclusive, with slack).
 	if clock > fifo*11/10 {
 		t.Errorf("clock (%d) much worse than FIFO (%d)", clock, fifo)
@@ -398,18 +370,18 @@ func TestBeladysAnomalyFIFO(t *testing.T) {
 	// frames than with 3 — the anomaly that made replacement policy a
 	// research subject. Stack policies (LRU, MIN) are immune.
 	s := []PageID{1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5}
-	fifo3 := runString(NewFIFO(), s, 3)
-	fifo4 := runString(NewFIFO(), s, 4)
+	fifo3 := FaultCount(NewFIFO(), s, 3)
+	fifo4 := FaultCount(NewFIFO(), s, 4)
 	if fifo3 != 9 || fifo4 != 10 {
 		t.Errorf("FIFO faults = %d/%d for 3/4 frames, want 9/10 (Belady's anomaly)", fifo3, fifo4)
 	}
-	lru3 := runString(NewLRU(), s, 3)
-	lru4 := runString(NewLRU(), s, 4)
+	lru3 := FaultCount(NewLRU(), s, 3)
+	lru4 := FaultCount(NewLRU(), s, 4)
 	if lru4 > lru3 {
 		t.Errorf("LRU showed an anomaly: %d faults at 4 frames > %d at 3", lru4, lru3)
 	}
-	min3 := runString(NewMIN(s), s, 3)
-	min4 := runString(NewMIN(s), s, 4)
+	min3 := FaultCount(NewMIN(s), s, 3)
+	min4 := FaultCount(NewMIN(s), s, 4)
 	if min4 > min3 {
 		t.Errorf("MIN showed an anomaly: %d > %d", min4, min3)
 	}
@@ -426,7 +398,7 @@ func TestStackPolicyInclusionProperty(t *testing.T) {
 		}
 		prev := 1 << 30
 		for frames := 2; frames <= 24; frames += 2 {
-			got := runString(NewLRU(), refs, frames)
+			got := FaultCount(NewLRU(), refs, frames)
 			if got > prev {
 				return false
 			}

@@ -223,34 +223,6 @@ func ReplacePolicy(name string, pageStr []replace.PageID, rngSeed uint64) (repla
 	return nil, false
 }
 
-// FaultCount replays a page-reference string against a policy with a
-// fixed frame capacity and returns the fault count — the harness of
-// Belady's cited study, shared with the compiled-in T1 sweep.
-func FaultCount(p replace.Policy, refs []replace.PageID, capacity int) int {
-	var clock sim.Clock
-	resident := make(map[replace.PageID]bool, capacity)
-	faults := 0
-	for _, r := range refs {
-		clock.Advance(1)
-		if resident[r] {
-			p.Touch(r, clock.Now(), false)
-			continue
-		}
-		faults++
-		if len(resident) == capacity {
-			v, err := p.Victim(clock.Now())
-			if err != nil {
-				panic(err)
-			}
-			p.Remove(v)
-			delete(resident, v)
-		}
-		resident[r] = true
-		p.Insert(r, clock.Now())
-	}
-	return faults
-}
-
 // pageString materializes one replacement workload's page-granular
 // reference string through the catalog: the derived string is
 // cataloged under its own key (page size included — a generation
@@ -265,12 +237,7 @@ func (s *Scenario) pageString(cat *catalog.Catalog, w TraceWorkload, baseSeed ui
 		if err != nil {
 			return nil, err
 		}
-		pages := tr.PageString(uint64(s.Replacement.PageSize))
-		out := make([]replace.PageID, len(pages))
-		for i, p := range pages {
-			out[i] = replace.PageID(p)
-		}
-		return out, nil
+		return replace.PageString(tr.PageString(uint64(s.Replacement.PageSize))), nil
 	})
 }
 
@@ -290,7 +257,7 @@ func (s *Scenario) replacementCells(baseSeed uint64) []Cell {
 					row := []interface{}{w.Family, frames}
 					for _, name := range spec.Policies {
 						p, _ := ReplacePolicy(name, pageStr, seeded(baseSeed, s.Seed+1))
-						row = append(row, FaultCount(p, pageStr, frames))
+						row = append(row, replace.FaultCount(p, pageStr, frames))
 					}
 					return engine.RowBatch{row}, nil
 				},

@@ -53,16 +53,34 @@ func (k Kind) String() string {
 // ErrBounds reports an access outside a level's capacity.
 var ErrBounds = errors.New("store: address out of bounds")
 
+// A level's words live in fixed-size chunks allocated on first write.
+const (
+	chunkShift = 12
+	chunkWords = 1 << chunkShift
+	chunkMask  = chunkWords - 1
+)
+
+// chunk is one allocated run of a level's words.
+type chunk [chunkWords]uint64
+
 // Level is one level of the storage hierarchy. It owns its words and
 // charges the shared clock for every operation.
+//
+// A level is sparse: its words live in chunks of chunkWords, and a
+// chunk is allocated, zeroed, only when a word in it is first written.
+// An untouched chunk reads as zeros, which is what a freshly cleared
+// level held, so a cell pays for the storage it writes rather than for
+// a whole drum or disk it mostly never touches. Capacity, bounds
+// errors, timing and counters are those of a dense level.
 type Level struct {
 	// Name identifies the level in reports, e.g. "core" or "1301 disk".
 	Name string
 	// Kind is the storage technology.
 	Kind Kind
 
-	clock *sim.Clock
-	words []uint64
+	clock    *sim.Clock
+	capacity int
+	chunks   []*chunk // nil until first written
 
 	// AccessTime is the fixed cost charged once per operation: a single
 	// core cycle for core, average rotational latency for a drum, seek
@@ -86,43 +104,95 @@ func NewLevel(clock *sim.Clock, name string, kind Kind, capacity int, access, wo
 		Name:       name,
 		Kind:       kind,
 		clock:      clock,
-		words:      make([]uint64, capacity),
+		capacity:   capacity,
+		chunks:     make([]*chunk, (capacity+chunkMask)>>chunkShift),
 		AccessTime: access,
 		WordTime:   word,
 	}
 }
 
 // Capacity reports the level's size in words.
-func (l *Level) Capacity() int { return len(l.words) }
+func (l *Level) Capacity() int { return l.capacity }
+
+// word returns the word at an in-bounds address.
+func (l *Level) word(addr int) uint64 {
+	if c := l.chunks[addr>>chunkShift]; c != nil {
+		return c[addr&chunkMask]
+	}
+	return 0
+}
+
+// writable returns chunk i, allocating it on first write.
+func (l *Level) writable(i int) *chunk {
+	c := l.chunks[i]
+	if c == nil {
+		c = new(chunk)
+		l.chunks[i] = c
+	}
+	return c
+}
+
+// copyWords copies n in-bounds words from src[srcAddr:] to
+// dst[dstAddr:] chunk run by chunk run, with the semantics of the
+// builtin copy on one flat array: overlapping ranges within one level
+// copy backward when the destination lies above the source. A run read
+// from an untouched chunk clears its destination, and allocates
+// nothing if that destination is untouched too.
+func copyWords(dst *Level, dstAddr int, src *Level, srcAddr, n int) {
+	backward := dst == src && dstAddr > srcAddr
+	for n > 0 {
+		s, d := srcAddr, dstAddr
+		var k int
+		if backward {
+			// The run ends at the last word still to be copied.
+			s, d = srcAddr+n-1, dstAddr+n-1
+			k = min(n, s&chunkMask+1, d&chunkMask+1)
+			s, d = s-k+1, d-k+1
+		} else {
+			k = min(n, chunkWords-s&chunkMask, chunkWords-d&chunkMask)
+		}
+		so, do := s&chunkMask, d&chunkMask
+		if sc := src.chunks[s>>chunkShift]; sc != nil {
+			copy(dst.writable(d >> chunkShift)[do:do+k], sc[so:so+k])
+		} else if dc := dst.chunks[d>>chunkShift]; dc != nil {
+			clear(dc[do : do+k])
+		}
+		if !backward {
+			srcAddr += k
+			dstAddr += k
+		}
+		n -= k
+	}
+}
 
 // ReadWord reads one word, charging one access.
 func (l *Level) ReadWord(addr int) (uint64, error) {
-	if addr < 0 || addr >= len(l.words) {
-		return 0, fmt.Errorf("%w: read %s[%d], capacity %d", ErrBounds, l.Name, addr, len(l.words))
+	if addr < 0 || addr >= l.capacity {
+		return 0, fmt.Errorf("%w: read %s[%d], capacity %d", ErrBounds, l.Name, addr, l.capacity)
 	}
 	l.clock.Advance(l.AccessTime + l.WordTime)
 	l.reads++
-	return l.words[addr], nil
+	return l.word(addr), nil
 }
 
 // WriteWord writes one word, charging one access.
 func (l *Level) WriteWord(addr int, v uint64) error {
-	if addr < 0 || addr >= len(l.words) {
-		return fmt.Errorf("%w: write %s[%d], capacity %d", ErrBounds, l.Name, addr, len(l.words))
+	if addr < 0 || addr >= l.capacity {
+		return fmt.Errorf("%w: write %s[%d], capacity %d", ErrBounds, l.Name, addr, l.capacity)
 	}
 	l.clock.Advance(l.AccessTime + l.WordTime)
 	l.writes++
-	l.words[addr] = v
+	l.writable(addr >> chunkShift)[addr&chunkMask] = v
 	return nil
 }
 
 // PeekWord reads a word without charging time or counting statistics.
 // It is intended for tests and report generation.
 func (l *Level) PeekWord(addr int) (uint64, error) {
-	if addr < 0 || addr >= len(l.words) {
-		return 0, fmt.Errorf("%w: peek %s[%d], capacity %d", ErrBounds, l.Name, addr, len(l.words))
+	if addr < 0 || addr >= l.capacity {
+		return 0, fmt.Errorf("%w: peek %s[%d], capacity %d", ErrBounds, l.Name, addr, l.capacity)
 	}
-	return l.words[addr], nil
+	return l.word(addr), nil
 }
 
 // TransferCost reports the time a block transfer of n words costs on
@@ -156,20 +226,20 @@ func Transfer(src *Level, srcAddr int, dst *Level, dstAddr, n int) error {
 	if n < 0 {
 		return fmt.Errorf("store: negative transfer length %d", n)
 	}
-	if srcAddr < 0 || srcAddr+n > len(src.words) {
+	if srcAddr < 0 || srcAddr+n > src.capacity {
 		return fmt.Errorf("%w: transfer source %s[%d:%d], capacity %d",
-			ErrBounds, src.Name, srcAddr, srcAddr+n, len(src.words))
+			ErrBounds, src.Name, srcAddr, srcAddr+n, src.capacity)
 	}
-	if dstAddr < 0 || dstAddr+n > len(dst.words) {
+	if dstAddr < 0 || dstAddr+n > dst.capacity {
 		return fmt.Errorf("%w: transfer destination %s[%d:%d], capacity %d",
-			ErrBounds, dst.Name, dstAddr, dstAddr+n, len(dst.words))
+			ErrBounds, dst.Name, dstAddr, dstAddr+n, dst.capacity)
 	}
 	cost := src.TransferCost(n)
 	if c := dst.TransferCost(n); c > cost {
 		cost = c
 	}
 	src.clock.Advance(cost)
-	copy(dst.words[dstAddr:dstAddr+n], src.words[srcAddr:srcAddr+n])
+	copyWords(dst, dstAddr, src, srcAddr, n)
 	src.transfers++
 	dst.transfers++
 	src.moved += int64(n)
@@ -186,15 +256,15 @@ func TransferOverlapped(src *Level, srcAddr int, dst *Level, dstAddr, n int) err
 	if n < 0 {
 		return fmt.Errorf("store: negative transfer length %d", n)
 	}
-	if srcAddr < 0 || srcAddr+n > len(src.words) {
+	if srcAddr < 0 || srcAddr+n > src.capacity {
 		return fmt.Errorf("%w: transfer source %s[%d:%d], capacity %d",
-			ErrBounds, src.Name, srcAddr, srcAddr+n, len(src.words))
+			ErrBounds, src.Name, srcAddr, srcAddr+n, src.capacity)
 	}
-	if dstAddr < 0 || dstAddr+n > len(dst.words) {
+	if dstAddr < 0 || dstAddr+n > dst.capacity {
 		return fmt.Errorf("%w: transfer destination %s[%d:%d], capacity %d",
-			ErrBounds, dst.Name, dstAddr, dstAddr+n, len(dst.words))
+			ErrBounds, dst.Name, dstAddr, dstAddr+n, dst.capacity)
 	}
-	copy(dst.words[dstAddr:dstAddr+n], src.words[srcAddr:srcAddr+n])
+	copyWords(dst, dstAddr, src, srcAddr, n)
 	src.transfers++
 	dst.transfers++
 	src.moved += int64(n)
@@ -211,14 +281,14 @@ func MoveWithin(l *Level, srcAddr, dstAddr, n int) error {
 	if n < 0 {
 		return fmt.Errorf("store: negative move length %d", n)
 	}
-	if srcAddr < 0 || srcAddr+n > len(l.words) {
+	if srcAddr < 0 || srcAddr+n > l.capacity {
 		return fmt.Errorf("%w: move source %s[%d:%d]", ErrBounds, l.Name, srcAddr, srcAddr+n)
 	}
-	if dstAddr < 0 || dstAddr+n > len(l.words) {
+	if dstAddr < 0 || dstAddr+n > l.capacity {
 		return fmt.Errorf("%w: move destination %s[%d:%d]", ErrBounds, l.Name, dstAddr, dstAddr+n)
 	}
 	l.clock.Advance(l.TransferCost(n))
-	copy(l.words[dstAddr:dstAddr+n], l.words[srcAddr:srcAddr+n])
+	copyWords(l, dstAddr, l, srcAddr, n)
 	l.transfers++
 	l.moved += int64(n)
 	return nil
