@@ -37,6 +37,8 @@ race:
 fuzz:
 	$(GO) test ./internal/engine/battery -run '^$$' -fuzz '^FuzzLoadCosts$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime 10s
+	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzScenarioParse$$' -fuzztime 10s
+	$(GO) test ./internal/engine/dist -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s
 
 # perfbench/ is its own Go module (replace dsa => ../), so the root
 # `go build ./...` never compiles it — yet it links against the

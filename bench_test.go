@@ -1,6 +1,7 @@
 // Benchmarks regenerating every figure and table of the paper's
-// evaluation material (F1–F4, T1–T8; see DESIGN.md §3 and
-// EXPERIMENTS.md), plus micro-benchmarks of the underlying substrates.
+// evaluation material (one BenchmarkExperiment sub-benchmark per
+// experiment, plus the whole battery), and micro-benchmarks of the
+// underlying substrates.
 //
 // Run everything:
 //
@@ -28,77 +29,24 @@ import (
 	"dsa/internal/workload"
 )
 
-func benchTable(b *testing.B, fn func() (*metrics.Table, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		t, err := fn()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(t.Rows) == 0 {
-			b.Fatal("empty table")
-		}
+// BenchmarkExperiment regenerates each experiment's table on its own,
+// one sub-benchmark per name in battery order.
+func BenchmarkExperiment(b *testing.B) {
+	for _, name := range experiments.Names() {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rows := 0
+				err := experiments.StreamConfig(context.Background(), experiments.Config{},
+					func(t *metrics.Table) { rows = len(t.Rows) }, name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rows == 0 {
+					b.Fatal("empty table")
+				}
+			}
+		})
 	}
-}
-
-// BenchmarkFig1ArtificialContiguity regenerates Figure 1.
-func BenchmarkFig1ArtificialContiguity(b *testing.B) {
-	benchTable(b, experiments.Fig1ArtificialContiguity)
-}
-
-// BenchmarkFig2SimpleMapping regenerates Figure 2.
-func BenchmarkFig2SimpleMapping(b *testing.B) {
-	benchTable(b, experiments.Fig2SimpleMapping)
-}
-
-// BenchmarkFig3SpaceTime regenerates Figure 3.
-func BenchmarkFig3SpaceTime(b *testing.B) {
-	benchTable(b, experiments.Fig3SpaceTime)
-}
-
-// BenchmarkFig4TwoLevelMapping regenerates Figure 4.
-func BenchmarkFig4TwoLevelMapping(b *testing.B) {
-	benchTable(b, experiments.Fig4TwoLevelMapping)
-}
-
-// BenchmarkT1Replacement regenerates the replacement-strategy table.
-func BenchmarkT1Replacement(b *testing.B) {
-	benchTable(b, experiments.T1Replacement)
-}
-
-// BenchmarkT2Placement regenerates the placement-strategy table.
-func BenchmarkT2Placement(b *testing.B) {
-	benchTable(b, experiments.T2Placement)
-}
-
-// BenchmarkT3UnitSize regenerates the unit-of-allocation table.
-func BenchmarkT3UnitSize(b *testing.B) {
-	benchTable(b, experiments.T3UnitSize)
-}
-
-// BenchmarkT4Machines regenerates the appendix-survey table.
-func BenchmarkT4Machines(b *testing.B) {
-	benchTable(b, experiments.T4Machines)
-}
-
-// BenchmarkT5Predictive regenerates the predictive-information table.
-func BenchmarkT5Predictive(b *testing.B) {
-	benchTable(b, experiments.T5Predictive)
-}
-
-// BenchmarkT6DualPageSize regenerates the MULTICS dual-page-size table.
-func BenchmarkT6DualPageSize(b *testing.B) {
-	benchTable(b, experiments.T6DualPageSize)
-}
-
-// BenchmarkT7NameSpace regenerates the dictionary-bookkeeping table.
-func BenchmarkT7NameSpace(b *testing.B) {
-	benchTable(b, experiments.T7NameSpace)
-}
-
-// BenchmarkT8Overlap regenerates the multiprogramming-overlap table.
-func BenchmarkT8Overlap(b *testing.B) {
-	benchTable(b, experiments.T8Overlap)
 }
 
 // --- substrate micro-benchmarks ---
@@ -268,46 +216,6 @@ func BenchmarkSegmentAccess(b *testing.B) {
 
 func segName(i int) string {
 	return string(rune('a'+i/26)) + string(rune('a'+i%26))
-}
-
-// BenchmarkT8bOverlapTraced regenerates the trace-driven overlap table.
-func BenchmarkT8bOverlapTraced(b *testing.B) {
-	benchTable(b, experiments.T8OverlapTraced)
-}
-
-// BenchmarkA1ReserveFrames regenerates the vacant-frame ablation.
-func BenchmarkA1ReserveFrames(b *testing.B) {
-	benchTable(b, experiments.A1ReserveFrames)
-}
-
-// BenchmarkA2Coalescing regenerates the coalescing-mode ablation.
-func BenchmarkA2Coalescing(b *testing.B) {
-	benchTable(b, experiments.A2Coalescing)
-}
-
-// BenchmarkA3Compaction regenerates the storage-packing ablation.
-func BenchmarkA3Compaction(b *testing.B) {
-	benchTable(b, experiments.A3Compaction)
-}
-
-// BenchmarkA4WaldUtilization regenerates the Wald utilization ablation.
-func BenchmarkA4WaldUtilization(b *testing.B) {
-	benchTable(b, experiments.A4WaldUtilization)
-}
-
-// BenchmarkA5TLBFlush regenerates the TLB-flush ablation.
-func BenchmarkA5TLBFlush(b *testing.B) {
-	benchTable(b, experiments.A5TLBFlush)
-}
-
-// BenchmarkT0Overlay regenerates the static-vs-dynamic overlay table.
-func BenchmarkT0Overlay(b *testing.B) {
-	benchTable(b, experiments.T0Overlay)
-}
-
-// BenchmarkA6SegmentedPaging regenerates the segmented-paging table.
-func BenchmarkA6SegmentedPaging(b *testing.B) {
-	benchTable(b, experiments.A6SegmentedPaging)
 }
 
 // BenchmarkAllSweep runs the entire experiment battery through the

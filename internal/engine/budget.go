@@ -3,8 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,11 +17,19 @@ import (
 // engine's only in-process Executor), split across tenants, each
 // capped at perTenant concurrently running cells. CLI and benchmark
 // runs are the single tenant "" (so the budget is a plain battery-wide
-// bound); the serve daemon gives each client tenant its own name. When a slot frees while several tenants have cells
-// waiting, it goes to a tenant with the fewest running cells — ties
-// broken by a random draw (Rabin's randomized mutual-exclusion
-// posture: fairness from a coin flip, not a queue that can encode
-// starvation) — and within one tenant strictly FIFO.
+// bound); the serve daemon gives each client tenant its own name. When
+// a slot frees while several tenants have cells waiting, it goes to a
+// tenant with the fewest running cells — ties broken by a random draw
+// (Rabin's randomized mutual-exclusion posture: fairness from a coin
+// flip, not a queue that can encode starvation) — and within one
+// tenant strictly FIFO.
+//
+// Fairness: when a slot frees and k tenants with headroom have
+// waiters and share the fewest running cells, each of them gets that
+// slot with probability exactly 1/k, whatever the order in which the
+// tenants queued and the slots were released. The draw sees only the
+// tied tenants' names, in sorted order, and a coin independent of the
+// schedule.
 type Budget struct {
 	mu        sync.Mutex
 	free      int
@@ -30,6 +39,9 @@ type Budget struct {
 	running map[string]int
 	queues  map[string][]chan struct{}
 	ties    []string // dispatchLocked's scratch
+	// rng breaks dispatch ties; made on the first tie (randomly
+	// seeded), or set beforehand by in-package tests.
+	rng *rand.Rand
 }
 
 // NewBudget builds a budget of total cell slots (<= 0 means
@@ -200,10 +212,10 @@ func (b *Budget) waiterLocked() bool {
 // dispatchLocked hands free slots to waiting tenants: among tenants
 // with waiters and headroom under the per-tenant cap, the one with the
 // fewest running cells wins each slot, ties broken uniformly at
-// random. Tenants at their cap are skipped — they hold running cells,
-// so a future Release always re-triggers dispatch; free slots plus
-// only capped waiters therefore never deadlocks, the slots just wait
-// for headroom.
+// random (see Budget). Tenants at their cap are skipped — they hold
+// running cells, so a future Release always re-triggers dispatch; free
+// slots plus only capped waiters therefore never deadlocks, the slots
+// just wait for headroom.
 func (b *Budget) dispatchLocked() {
 	for b.free > 0 {
 		best := b.ties[:0]
@@ -223,7 +235,16 @@ func (b *Budget) dispatchLocked() {
 		if len(best) == 0 {
 			return
 		}
-		tenant := best[rand.Intn(len(best))]
+		tenant := best[0]
+		if len(best) > 1 {
+			if b.rng == nil {
+				b.rng = rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64()))
+			}
+			// Map order is arbitrary, not random: sort so the draw
+			// alone picks the winner.
+			slices.Sort(best)
+			tenant = best[b.rng.IntN(len(best))]
+		}
 		grant := b.queues[tenant][0]
 		b.queues[tenant] = b.queues[tenant][1:]
 		if len(b.queues[tenant]) == 0 {

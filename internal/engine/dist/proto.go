@@ -114,8 +114,7 @@ type cellResp struct {
 	// Key echoes the cell key.
 	Key string
 	// Value is the cell's result (nil on failure). Its concrete type
-	// must be gob-registered on both sides; RegisterValue does this for
-	// types beyond the defaults.
+	// must be gob-registered on both sides (see init).
 	Value interface{}
 	// Err is the cell's ordinary error, "" for none.
 	Err string
@@ -251,12 +250,22 @@ func (fr *frameReader) fill() error {
 	if n > maxFrame {
 		return fmt.Errorf("dist: frame of %d bytes exceeds limit %d", n, maxFrame)
 	}
-	if uint32(cap(fr.body)) < n {
-		fr.body = make([]byte, n)
-	}
-	fr.body = fr.body[:n]
-	if _, err := io.ReadFull(fr.r, fr.body); err != nil {
-		return fmt.Errorf("dist: reading %d-byte frame: %w", n, err)
+	if uint32(cap(fr.body)) >= n {
+		fr.body = fr.body[:n]
+		if _, err := io.ReadFull(fr.r, fr.body); err != nil {
+			return fmt.Errorf("dist: reading %d-byte frame: %w", n, err)
+		}
+	} else {
+		// Grow only as bytes arrive: a corrupt length must not allocate
+		// up to maxFrame before the stream shows it holds that much.
+		var b bytes.Buffer
+		if _, err := b.ReadFrom(io.LimitReader(fr.r, int64(n))); err != nil {
+			return fmt.Errorf("dist: reading %d-byte frame: %w", n, err)
+		}
+		if uint32(b.Len()) < n {
+			return fmt.Errorf("dist: reading %d-byte frame: %w", n, io.ErrUnexpectedEOF)
+		}
+		fr.body = b.Bytes()
 	}
 	if sum := crc32.Checksum(fr.body, crcTable); sum != binary.BigEndian.Uint32(hdr[4:]) {
 		return fmt.Errorf("dist: frame checksum mismatch (%08x != %08x): corrupt stream", sum, binary.BigEndian.Uint32(hdr[4:]))
@@ -290,19 +299,12 @@ func (fr *frameReader) ReadByte() (byte, error) {
 	return b, nil
 }
 
-// RegisterValue records a concrete type that cells transport in
-// response values (directly or inside an engine.RowBatch), so gob can
-// round-trip it through an interface. Call it from the same package
-// init on both sides of the protocol — which, with a self-spawning
-// worker binary, is one call site.
-func RegisterValue(v interface{}) { gob.Register(v) }
-
 func init() {
 	// The row-value vocabulary of the experiment tables. gob
 	// pre-registers the unnamed basics (int, float64, string, bool,
-	// ...); the named types cells put in rows must be added here or via
-	// RegisterValue so they survive the interface round-trip with their
-	// concrete type — and thus their formatting — intact.
+	// ...); the named types cells put in rows must be added here so
+	// they survive the interface round-trip with their concrete type —
+	// and thus their formatting — intact.
 	gob.Register(engine.RowBatch{})
 	gob.Register([]interface{}{})
 	gob.Register(sim.Time(0))

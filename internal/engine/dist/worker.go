@@ -29,9 +29,10 @@ type Call struct {
 }
 
 // Handler runs one cell in a worker process. The returned value must
-// be gob-serializable (see RegisterValue) and byte-for-byte what the
-// corresponding in-process Job.Run would have produced — handlers and
-// local closures should share one implementation.
+// be gob-serializable through an interface (proto.go's init registers
+// the row vocabulary) and byte-for-byte what the corresponding
+// in-process Job.Run would have produced — handlers and local closures
+// should share one implementation.
 type Handler func(ctx context.Context, c Call) (interface{}, error)
 
 var (

@@ -12,47 +12,20 @@ import (
 	"dsa/internal/workload/catalog"
 )
 
-// namedExperiment pairs an experiment's canonical CLI name with its
-// table function. The function takes the invocation's cancellation
-// context and configuration explicitly, so concurrent batteries (the
-// serve daemon's tenants) share no state; the exported per-experiment
-// wrappers (T1Replacement, ...) bind them to the zero Config.
-type namedExperiment struct {
-	name string
-	fn   func(ctx context.Context, sc Config) (*metrics.Table, error)
-}
-
 // allExperiments is the canonical battery: every experiment in the
 // paper's presentation order. StreamConfig emits tables in this order
 // no matter how the battery scheduler interleaves the sweeps.
-var allExperiments = []namedExperiment{
-	{"t0", t0Def.runCtx},
-	{"fig1", fig1Def.runCtx},
-	{"fig2", fig2Def.runCtx},
-	{"fig3", fig3Def.runCtx},
-	{"fig4", fig4Table},
-	{"t1", t1Def.runCtx},
-	{"t2", t2Def.runCtx},
-	{"t3", t3Def.runCtx},
-	{"t4", t4Def.runCtx},
-	{"t5", t5Def.runCtx},
-	{"t6", t6Def.runCtx},
-	{"t7", t7Def.runCtx},
-	{"t8", t8Def.runCtx},
-	{"t8b", t8bDef.runCtx},
-	{"a1", a1Def.runCtx},
-	{"a2", a2Def.runCtx},
-	{"a3", a3Def.runCtx},
-	{"a4", a4Def.runCtx},
-	{"a5", a5Def.runCtx},
-	{"a6", a6Def.runCtx},
+var allExperiments = []*sweepDef{
+	t0Def, fig1Def, fig2Def, fig3Def, fig4Def,
+	t1Def, t2Def, t3Def, t4Def, t5Def, t6Def, t7Def, t8Def, t8bDef,
+	a1Def, a2Def, a3Def, a4Def, a5Def, a6Def,
 }
 
 // Names returns the canonical experiment names in battery order.
 func Names() []string {
 	out := make([]string, len(allExperiments))
-	for i, e := range allExperiments {
-		out[i] = e.name
+	for i, d := range allExperiments {
+		out[i] = d.id
 	}
 	return out
 }
@@ -60,21 +33,21 @@ func Names() []string {
 // byName resolves a (case-insensitive) experiment name: first against
 // the compiled-in battery, then against registered declarative
 // scenarios (by full wire id or bare scenario name).
-func byName(name string) (namedExperiment, error) {
+func byName(name string) (*sweepDef, error) {
 	lower := strings.ToLower(name)
-	for _, e := range allExperiments {
-		if e.name == lower {
-			return e, nil
+	for _, d := range allExperiments {
+		if d.id == lower {
+			return d, nil
 		}
 	}
 	d, err := scenarioByName(name)
 	if err != nil {
-		return namedExperiment{}, err
+		return nil, err
 	}
-	if d != nil {
-		return namedExperiment{name: d.id, fn: d.runCtx}, nil
+	if d == nil {
+		return nil, fmt.Errorf("unknown experiment %q", name)
 	}
-	return namedExperiment{}, fmt.Errorf("unknown experiment %q", name)
+	return d, nil
 }
 
 // Resolve canonicalizes an experiment name — a compiled-in battery
@@ -83,11 +56,11 @@ func byName(name string) (namedExperiment, error) {
 // submissions with it so an unknown name is a 400 at POST time, not a
 // failure discovered mid-stream.
 func Resolve(name string) (string, error) {
-	e, err := byName(name)
+	d, err := byName(name)
 	if err != nil {
 		return "", err
 	}
-	return e.name, nil
+	return d.id, nil
 }
 
 // Config is one battery invocation's configuration. The zero value
@@ -151,13 +124,13 @@ type Config struct {
 func StreamConfig(ctx context.Context, c Config, emit func(*metrics.Table), names ...string) error {
 	list := allExperiments
 	if len(names) > 0 {
-		list = make([]namedExperiment, len(names))
+		list = make([]*sweepDef, len(names))
 		for i, name := range names {
-			e, err := byName(name)
+			d, err := byName(name)
 			if err != nil {
 				return err
 			}
-			list[i] = e
+			list[i] = d
 		}
 	}
 	if c.Store == nil {
@@ -186,15 +159,15 @@ func StreamConfig(ctx context.Context, c Config, emit func(*metrics.Table), name
 
 	ab := &abort{failed: len(list), cancels: make([]context.CancelFunc, len(list))}
 	units := make([]battery.Unit, len(list))
-	for i, e := range list {
-		i, e := i, e
-		units[i] = battery.Unit{Name: e.name, Run: func(ctx context.Context) (interface{}, error) {
+	for i, d := range list {
+		i, d := i, d
+		units[i] = battery.Unit{Name: d.id, Run: func(ctx context.Context) (interface{}, error) {
 			ctx, cancel, ok := ab.start(ctx, i)
 			if !ok {
 				return nil, context.Canceled
 			}
 			defer cancel()
-			tb, err := e.fn(ctx, c)
+			tb, err := d.runCtx(ctx, c)
 			if err != nil {
 				ab.fail(i)
 			}

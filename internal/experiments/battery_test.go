@@ -69,7 +69,7 @@ func TestBatteryParallelThroughDistPool(t *testing.T) {
 func TestBatteryNoDuplicateGenerations(t *testing.T) {
 	generations := func(bp int) int {
 		store := catalog.New()
-		if _, err := runTables(Config{Parallel: 4, BatteryParallel: bp, Store: store}); err != nil {
+		if _, err := collectTables(Config{Parallel: 4, BatteryParallel: bp, Store: store}); err != nil {
 			t.Fatal(err)
 		}
 		return store.Stats().Generations
@@ -98,7 +98,7 @@ func TestBatteryPoisonedSweepOthersComplete(t *testing.T) {
 		catalog.Get(store, fmt.Sprintf("t1/page-string/working-set@%x", uint64(5)),
 			func() (int, error) { panic("poisoned workload") })
 	}()
-	tables, err := runTables(Config{Parallel: 4, BatteryParallel: 3, Store: store}, "t1", "t4", "t8", "a2")
+	tables, err := collectTables(Config{Parallel: 4, BatteryParallel: 3, Store: store}, "t1", "t4", "t8", "a2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestBatteryPoisonedSweepOthersComplete(t *testing.T) {
 	}
 	// The untouched sweeps must match their solo serial renders.
 	for i, name := range []string{"t4", "t8", "a2"} {
-		want, err := runTables(Config{}, name)
+		want, err := collectTables(Config{}, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestBatteryProgressAggregation(t *testing.T) {
 		last = p
 		mu.Unlock()
 	}
-	if _, err := runTables(Config{Parallel: 2, BatteryParallel: 2, OnBatteryProgress: observe}, "t1", "t4", "a2"); err != nil {
+	if _, err := collectTables(Config{Parallel: 2, BatteryParallel: 2, OnBatteryProgress: observe}, "t1", "t4", "a2"); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -159,7 +159,7 @@ func TestBatteryProgressAggregation(t *testing.T) {
 // TestRunUnknownExperiment: an unknown name fails up front, before any
 // sweep runs.
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := runTables(Config{}, "t1", "no-such-thing"); err == nil ||
+	if _, err := collectTables(Config{}, "t1", "no-such-thing"); err == nil ||
 		!strings.Contains(err.Error(), `unknown experiment "no-such-thing"`) {
 		t.Errorf("err = %v, want unknown experiment", err)
 	}
@@ -213,8 +213,7 @@ func TestBatteryFailureParity(t *testing.T) {
 	}
 	const at = 10 // after t5
 	canonical := allExperiments
-	allExperiments = append(append(append([]namedExperiment(nil), canonical[:at]...),
-		namedExperiment{"test-fail", failingDef.runCtx}), canonical[at:]...)
+	allExperiments = append(append(append([]*sweepDef(nil), canonical[:at]...), failingDef), canonical[at:]...)
 	defer func() { allExperiments = canonical }()
 
 	run := func(bp int) (string, int, error) {

@@ -6,26 +6,20 @@ import (
 	"testing"
 
 	"dsa/internal/engine"
-	"dsa/internal/metrics"
 	"dsa/internal/replace"
 	"dsa/internal/sim"
 	"dsa/internal/workload"
 	"dsa/internal/workload/catalog"
 )
 
-// benchSweep runs an experiment repeatedly with the given catalog
-// constructor standing in for the per-sweep catalog — catalog.New for
-// shared materialization, catalog.Disabled for the old per-cell
-// regeneration. Workers are pinned to 1 so the benchmark compares
-// total work, not scheduling luck.
-func benchSweep(b *testing.B, mk func() *catalog.Catalog, fn func(Config) (*metrics.Table, error)) {
+// benchSweep runs a registered sweep repeatedly, each run against a
+// fresh store from mk — catalog.New for shared materialization,
+// catalog.Disabled for per-cell regeneration. Workers are pinned to 1
+// so the benchmark compares total work, not scheduling luck.
+func benchSweep(b *testing.B, mk func() *catalog.Catalog, d *sweepDef) {
 	b.Helper()
-	old := newSweepCatalog
-	newSweepCatalog = mk
-	defer func() { newSweepCatalog = old }()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb, err := fn(Config{Parallel: 1})
+		tb, err := d.runCtx(context.Background(), Config{Parallel: 1, Store: mk()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -35,19 +29,12 @@ func benchSweep(b *testing.B, mk func() *catalog.Catalog, fn func(Config) (*metr
 	}
 }
 
-// sweepRunner runs a registered table sweep on its own, outside any
-// battery, under the given config.
-func sweepRunner(d *sweepDef) func(Config) (*metrics.Table, error) {
-	return func(c Config) (*metrics.Table, error) { return d.runCtx(context.Background(), c) }
-}
-
-// scaledReplacementSweep is the battery's largest sweep shape scaled to
-// the ROADMAP's production ambitions: one long working-set trace
-// declared as a catalog key by every frame-count cell. With the shared
-// catalog the trace is materialized once; with per-cell regeneration
-// each of the six cells pays the full generation again — the cost this
-// PR deletes.
-func scaledReplacementSweep(sc Config) (*metrics.Table, error) {
+// scaledDef is the battery's largest sweep shape scaled up: one long
+// working-set trace declared as a catalog key by every frame-count
+// cell. With the shared catalog the trace is materialized once; with
+// per-cell regeneration each of the six cells pays the full generation
+// again — the cost the catalog deletes.
+var scaledDef = registerSweep("bench", "bench — scaled replacement sweep", []string{"frames", "faults"}, func(sc Config) []cell {
 	const pageSize = 256
 	const refs = 400000
 	frameCounts := []int{4, 8, 12, 16, 24, 32}
@@ -75,18 +62,17 @@ func scaledReplacementSweep(sc Config) (*metrics.Table, error) {
 			},
 		}
 	}
-	return runTable(sc, "bench — scaled replacement sweep",
-		[]string{"frames", "faults"}, cells)
-}
+	return cells
+})
 
 // BenchmarkScaledSweepSharedCatalog vs PerCellRegen: the headline
 // comparison — six cells sharing one 400k-reference trace.
 func BenchmarkScaledSweepSharedCatalog(b *testing.B) {
-	benchSweep(b, catalog.New, scaledReplacementSweep)
+	benchSweep(b, catalog.New, scaledDef)
 }
 
 func BenchmarkScaledSweepPerCellRegen(b *testing.B) {
-	benchSweep(b, catalog.Disabled, scaledReplacementSweep)
+	benchSweep(b, catalog.Disabled, scaledDef)
 }
 
 // BenchmarkT2PlacementSharedCatalog vs BenchmarkT2PlacementPerCellRegen
@@ -94,20 +80,20 @@ func BenchmarkScaledSweepPerCellRegen(b *testing.B) {
 // cells over 3 request streams — shared, each stream generates once;
 // regenerating, 18 times).
 func BenchmarkT2PlacementSharedCatalog(b *testing.B) {
-	benchSweep(b, catalog.New, sweepRunner(t2Def))
+	benchSweep(b, catalog.New, t2Def)
 }
 
 func BenchmarkT2PlacementPerCellRegen(b *testing.B) {
-	benchSweep(b, catalog.Disabled, sweepRunner(t2Def))
+	benchSweep(b, catalog.Disabled, t2Def)
 }
 
 // BenchmarkT1ReplacementSharedCatalog vs PerCellRegen: the battery's
 // trace-heaviest sweep (9 cells over 3 traces, with a 30000-reference
 // working-set trace among them).
 func BenchmarkT1ReplacementSharedCatalog(b *testing.B) {
-	benchSweep(b, catalog.New, sweepRunner(t1Def))
+	benchSweep(b, catalog.New, t1Def)
 }
 
 func BenchmarkT1ReplacementPerCellRegen(b *testing.B) {
-	benchSweep(b, catalog.Disabled, sweepRunner(t1Def))
+	benchSweep(b, catalog.Disabled, t1Def)
 }

@@ -179,13 +179,9 @@ func TestAllColdVsWarmDiskStore(t *testing.T) {
 	}
 }
 
-// TestPoisonedWorkloadFailsOnlyItsCells: a workload generator that
-// panics turns exactly the cells that declared it into FAILED rows;
-// cells on other workloads keep their values and the sweep completes.
-// This is the experiments-level counterpart of the engine poisoning
-// test, run through runTable's real aggregation path.
-func TestPoisonedWorkloadFailsOnlyItsCells(t *testing.T) {
-	sc := Config{}
+// spikeDef is a test-only sweep: three cells on a healthy workload,
+// then three on a workload whose generator panics.
+var spikeDef = registerSweep("spike", "spike", []string{"workload", "cell", "value"}, func(sc Config) []cell {
 	var cells []cell
 	for _, wl := range []string{"healthy", "poisoned"} {
 		for i := 0; i < 3; i++ {
@@ -208,7 +204,16 @@ func TestPoisonedWorkloadFailsOnlyItsCells(t *testing.T) {
 			})
 		}
 	}
-	tb, err := runTable(sc, "spike", []string{"workload", "cell", "value"}, cells)
+	return cells
+})
+
+// TestPoisonedWorkloadFailsOnlyItsCells: a workload generator that
+// panics turns exactly the cells that declared it into FAILED rows;
+// cells on other workloads keep their values and the sweep completes.
+// This is the experiments-level counterpart of the engine poisoning
+// test, run through a registered sweep's real aggregation path.
+func TestPoisonedWorkloadFailsOnlyItsCells(t *testing.T) {
+	tb, err := spikeDef.runCtx(context.Background(), Config{Store: catalog.New()})
 	if err != nil {
 		t.Fatalf("poisoned workload aborted the sweep: %v", err)
 	}

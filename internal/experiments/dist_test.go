@@ -125,32 +125,34 @@ func TestDistNonzeroSeedMatchesInProcess(t *testing.T) {
 
 // TestRunRemoteCell exercises the worker-side handler directly (no
 // processes): a cell rebuilt from {sweep id, key, seed} must produce
-// exactly what the in-process cell produces.
+// exactly what the in-process cell produces — including a Figure 4
+// cell, which reads the no-TLB baseline from the worker's own catalog.
 func TestRunRemoteCell(t *testing.T) {
-	const key = "t7/linear"
-	call := func() (interface{}, error) {
-		return runRemoteCell(context.Background(), dist.Call{
-			Key:  key,
-			Seed: 0,
-			Spec: engine.Spec{Task: DistTask, Args: map[string]string{"sweep": "t7", "cell": key}},
-			Env:  engine.Env{RNG: sim.NewRNG(sim.SeedFor(0, key)), Catalog: catalog.New()},
-		})
-	}
-	remote, err := call()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var local interface{}
-	for _, cl := range t7Cells(Config{}) {
-		if cl.key == key {
-			local, err = cl.run(engine.Env{RNG: sim.NewRNG(sim.SeedFor(0, key)), Catalog: catalog.New()})
+	for _, d := range []*sweepDef{t7Def, fig4Def} {
+		for _, cl := range d.build(Config{Seed: 3}) {
+			if cl.key != "t7/linear" && cl.key != "fig4/tlb=9" {
+				continue
+			}
+			env := func() engine.Env {
+				return engine.Env{RNG: sim.NewRNG(sim.SeedFor(3, cl.key)), Catalog: catalog.New()}
+			}
+			remote, err := runRemoteCell(context.Background(), dist.Call{
+				Key:  cl.key,
+				Seed: 3,
+				Spec: engine.Spec{Task: DistTask, Args: map[string]string{"sweep": d.id, "cell": cl.key}},
+				Env:  env(),
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			local, err := cl.run(env())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(remote) != fmt.Sprint(local) {
+				t.Errorf("remote cell %s = %v, want %v", cl.key, remote, local)
+			}
 		}
-	}
-	if fmt.Sprint(remote) != fmt.Sprint(local) {
-		t.Errorf("remote cell = %v, want %v", remote, local)
 	}
 
 	if _, err := runRemoteCell(context.Background(), dist.Call{
@@ -162,5 +164,69 @@ func TestRunRemoteCell(t *testing.T) {
 		Spec: engine.Spec{Args: map[string]string{"sweep": "t7", "cell": "no-such-cell"}},
 	}); err == nil || !strings.Contains(err.Error(), "no cell") {
 		t.Errorf("unknown cell error = %v", err)
+	}
+}
+
+// goldenTable returns the golden rendering of the table whose title
+// starts with prefix, as render prints it.
+func goldenTable(t *testing.T, prefix string) string {
+	t.Helper()
+	golden, err := os.ReadFile(filepath.Join("testdata", "all_tables.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(golden), "== "+prefix)
+	if !ok {
+		t.Fatalf("no golden table %q", prefix)
+	}
+	table, _, _ := strings.Cut(rest, "\n== ")
+	return "== " + prefix + table + "\n"
+}
+
+// TestFig4Parity: every Figure 4 row is normalized by the no-TLB
+// measurement, which each cell reads from its catalog — the battery
+// store in-process (measured once), each worker's own catalog under
+// dist, a fresh measurement per cell with a disabled store. The table
+// must not depend on which of them served it.
+func TestFig4Parity(t *testing.T) {
+	golden := goldenTable(t, "Figure 4")
+	for _, parallel := range []int{1, 2, 4} {
+		store := catalog.New()
+		if got := render(t, Config{Parallel: parallel, Store: store}, "fig4"); got != golden {
+			t.Errorf("parallel=%d diverged from golden\n%s", parallel, firstDiff(got, golden))
+		}
+		// The segmented trace and the no-TLB baseline, once each.
+		if st := store.Stats(); st.Generations != 2 {
+			t.Errorf("parallel=%d: %d generations, want 2", parallel, st.Generations)
+		}
+	}
+	type variant struct {
+		name string
+		c    Config
+	}
+	others := []variant{{"disabled store", Config{Store: catalog.Disabled()}}}
+	var pools []*dist.Pool
+	if !testing.Short() { // spawns worker processes
+		pool, batched := newWorkerPool(t, 2), newBatchWorkerPool(t, 2, 4)
+		pools = []*dist.Pool{pool, batched}
+		others = append(others, variant{"dist", Config{Executor: pool}}, variant{"dist -batch 4", Config{Executor: batched}})
+	}
+	seeded := render(t, Config{Seed: 7}, "fig4")
+	if seeded == golden {
+		t.Error("seed 7 reproduced the seed-0 table")
+	}
+	for _, o := range others {
+		if got := render(t, o.c, "fig4"); got != golden {
+			t.Errorf("%s diverged from golden\n%s", o.name, firstDiff(got, golden))
+		}
+		o.c.Seed = 7
+		if got := render(t, o.c, "fig4"); got != seeded {
+			t.Errorf("%s at seed 7 diverged from in-process\n%s", o.name, firstDiff(got, seeded))
+		}
+	}
+	for _, p := range pools {
+		if st := p.Stats(); st.Local != 0 || st.Remote != 16 || st.Crashes != 0 {
+			t.Errorf("stats = %+v, want 16 remote cells (two renders) and no crashes", st)
+		}
 	}
 }

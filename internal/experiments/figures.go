@@ -1,7 +1,8 @@
 // Package experiments regenerates every figure and derived table of
-// the paper's evaluation material (see DESIGN.md §3 for the index).
-// Each experiment returns a metrics.Table; cmd/dsafig prints them and
-// bench_test.go wraps them as benchmarks. All experiments are
+// the paper's evaluation material. Each experiment is one registered
+// sweep whose cells emit the rows of a metrics.Table; StreamConfig
+// runs any subset of them as a battery, cmd/dsafig prints the tables
+// and bench_test.go times each one. All experiments are
 // deterministic: their cells fan out through internal/engine to the
 // battery's executor (see Config and StreamConfig), declare their
 // workloads as keys in a sweep-shared catalog
@@ -11,13 +12,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"dsa/internal/addr"
 	"dsa/internal/engine"
 	"dsa/internal/mapping"
-	"dsa/internal/metrics"
 	"dsa/internal/paging"
 	"dsa/internal/replace"
 	"dsa/internal/sim"
@@ -34,14 +33,12 @@ func fig2Trace(env engine.Env, sc Config, extent uint64, refs int) (trace.Trace,
 	})
 }
 
-// Fig1ArtificialContiguity reproduces Figure 1: a set of separate
-// physical blocks, scattered in storage, made to correspond to a single
-// set of contiguous names. The table shows the name-to-address mapping
-// and verifies that every name in the contiguous range resolves while
+// fig1Def reproduces Figure 1: a set of separate physical blocks,
+// scattered in storage, made to correspond to a single set of
+// contiguous names. The table shows the name-to-address mapping and
+// verifies that every name in the contiguous range resolves while
 // offsets within blocks are preserved. The figure is one engine cell:
 // its rows share running state (the previous block's end address).
-func Fig1ArtificialContiguity() (*metrics.Table, error) { return fig1Def.run() }
-
 var fig1Def = registerSweep("fig1",
 	"Figure 1 — artificial name contiguity (contiguous names, scattered blocks)",
 	[]string{"name range", "page", "frame", "absolute range", "contiguous?"},
@@ -104,15 +101,13 @@ func fig1Cells(Config) []cell {
 	return []cell{single}
 }
 
-// Fig2SimpleMapping reproduces Figure 2: the simple one-level mapping
-// scheme, in which the most significant bits of the name index a table
-// of block addresses. The table compares addressing cost without any
-// mapping (relocation/limit pair) against the one-level mapped path,
+// fig2Def reproduces Figure 2: the simple one-level mapping scheme, in
+// which the most significant bits of the name index a table of block
+// addresses. The table compares addressing cost without any mapping
+// (relocation/limit pair) against the one-level mapped path,
 // quantifying the overhead the mapping device introduces. The two
 // schemes run as independent engine cells replaying the same cataloged
 // trace.
-func Fig2SimpleMapping() (*metrics.Table, error) { return fig2Def.run() }
-
 var fig2Def = registerSweep("fig2",
 	"Figure 2 — simple mapping scheme: addressing cost per reference",
 	[]string{"scheme", "refs", "table accesses", "extra cost/ref (core cycles)"},
@@ -171,16 +166,14 @@ func fig2Cells(sc Config) []cell {
 	return []cell{unmapped, mapped}
 }
 
-// Fig3SpaceTime reproduces Figure 3: storage utilization with demand
-// paging. A working-set program runs with a fixed core allotment while
-// the page-fetch time sweeps from drum-fast to disk-slow; the waiting
+// fig3Def reproduces Figure 3: storage utilization with demand paging.
+// A working-set program runs with a fixed core allotment while the
+// page-fetch time sweeps from drum-fast to disk-slow; the waiting
 // share of the space-time product balloons exactly as the figure's
 // shaded area does. A second sweep varies the allotment to show the
 // space-minimizing property of demand paging. Every (fetch time,
 // frames) point is an independent engine cell; all nine replay the one
 // cataloged working-set trace.
-func Fig3SpaceTime() (*metrics.Table, error) { return fig3Def.run() }
-
 var fig3Def = registerSweep("fig3",
 	"Figure 3 — space-time product under demand paging",
 	[]string{"fetch access", "frames", "faults",
@@ -242,102 +235,52 @@ type fig4Ref struct {
 	off addr.Name
 }
 
-// fig4Point is the intermediate one Fig4 cell measures; the rows are
-// assembled afterwards because every row is normalized by the no-TLB
-// baseline. Its fields are exported because the value crosses the
-// process boundary (gob) when the sweep is distributed.
+// fig4Point is what one associative-memory size measures over the
+// shared segmented trace. Its fields are exported so a disk-backed
+// store can persist the shared no-TLB baseline.
 type fig4Point struct {
-	Label    string
 	HitRatio float64
 	Accesses float64
 	PerRef   float64
 }
 
-// Fig4TwoLevelMapping reproduces Figure 4: the two-level (segment
-// table, page table) mapping scheme with a small associative memory.
-// The effective addressing overhead is measured as the associative
-// memory grows from absent to the 8+1 registers of the 360/67 and the
-// 44 words of the B8500 — demonstrating the paper's claim that without
-// such hardware "the cost in extra addressing time ... would often be
-// unacceptable". Each associative-memory size measures in its own
-// engine cell over the one cataloged segmented trace; the "vs no-TLB"
-// column is normalized against the zero-register cell in a serial
-// aggregation pass.
-func Fig4TwoLevelMapping() (*metrics.Table, error) {
-	return fig4Table(context.Background(), Config{})
-}
+// fig4Def reproduces Figure 4: the two-level (segment table, page
+// table) mapping scheme with a small associative memory. The effective
+// addressing overhead is measured as the associative memory grows from
+// absent to the 8+1 registers of the 360/67 and the 44 words of the
+// B8500 — demonstrating the paper's claim that without such hardware
+// "the cost in extra addressing time ... would often be unacceptable".
+// Each associative-memory size measures in its own engine cell over
+// the one cataloged segmented trace. The "vs no-TLB" column divides by
+// the zero-register measurement, which every cell reads from the sweep
+// catalog, so that pass runs once per battery (once per worker process
+// when the sweep is distributed).
+var fig4Def = registerSweep("fig4",
+	"Figure 4 — two-level mapping: associative memory vs addressing overhead",
+	[]string{"assoc. registers", "hit ratio",
+		"table accesses/ref", "extra cycles/ref", "vs no-TLB"},
+	fig4Cells)
 
-// fig4Table is Fig4TwoLevelMapping under an explicit config: the value
-// sweep runs through the engine, then the serial aggregation pass
-// normalizes every row against the no-TLB baseline cell.
-func fig4Table(ctx context.Context, sc Config) (*metrics.Table, error) {
-	points, err := runValueSweep[fig4Point](ctx, fig4Def, sc)
-	if err != nil {
-		return nil, err
-	}
-	t := &metrics.Table{
-		Title: "Figure 4 — two-level mapping: associative memory vs addressing overhead",
-		Header: []string{"assoc. registers", "hit ratio",
-			"table accesses/ref", "extra cycles/ref", "vs no-TLB"},
-	}
-	baseline := points[0].PerRef
-	for _, p := range points {
-		t.AddRow(p.Label, p.HitRatio, p.Accesses, p.PerRef, p.PerRef/baseline)
-	}
-	return t, nil
-}
-
-var fig4Def = registerValueSweep("fig4", "Figure 4 — two-level mapping", fig4Cells)
-
-func fig4Cells(sc Config) []valueCell[fig4Point] {
-	const segs = 16
-	const segWords = 16 * 256
+func fig4Cells(sc Config) []cell {
 	tlbSizes := []int{0, 1, 2, 4, 8, 9, 16, 44}
-	cells := make([]valueCell[fig4Point], len(tlbSizes))
+	cells := make([]cell, len(tlbSizes))
 	for i, tlbSize := range tlbSizes {
 		tlbSize := tlbSize
-		cells[i] = valueCell[fig4Point]{
+		cells[i] = cell{
 			key: fmt.Sprintf("fig4/tlb=%d", tlbSize),
-			run: func(env engine.Env) (fig4Point, error) {
-				refs, err := shared(env, sc, "fig4/segmented-trace", 77,
-					func(rng *sim.RNG) ([]fig4Ref, error) {
-						out := make([]fig4Ref, 50000)
-						for i := range out {
-							if rng.Float64() < 0.85 {
-								out[i].seg = addr.SegID(rng.Intn(3))
-								out[i].off = addr.Name(rng.Intn(4 * 256))
-							} else {
-								out[i].seg = addr.SegID(rng.Intn(segs))
-								out[i].off = addr.Name(rng.Intn(segWords))
-							}
-						}
-						return out, nil
-					})
+			run: func(env engine.Env) (engine.RowBatch, error) {
+				base, err := shared(env, sc, "fig4/no-tlb", 77, func(*sim.RNG) (fig4Point, error) {
+					return fig4Measure(env, sc, 0)
+				})
 				if err != nil {
-					return fig4Point{}, err
+					return nil, err
 				}
-				clock := &sim.Clock{}
-				m := mapping.NewTwoLevel(clock, segs, tlbSize, 1)
-				for s := addr.SegID(0); s < segs; s++ {
-					pt, err := m.Establish(s, segWords, 256)
-					if err != nil {
-						return fig4Point{}, err
-					}
-					for p := 0; p < segWords/256; p++ {
-						if err := pt.SetEntry(uint64(p), int(s)*64+p); err != nil {
-							return fig4Point{}, err
-						}
+				p := base
+				if tlbSize > 0 {
+					if p, err = fig4Measure(env, sc, tlbSize); err != nil {
+						return nil, err
 					}
 				}
-				before := clock.Now()
-				for _, r := range refs {
-					if _, err := m.Translate(r.seg, r.off, false); err != nil {
-						return fig4Point{}, err
-					}
-				}
-				perRef := float64(clock.Now()-before) / float64(len(refs))
-				hits, misses := m.TLB().Stats()
-				accesses := float64(2*misses) / float64(hits+misses)
 				label := fmt.Sprint(tlbSize)
 				switch tlbSize {
 				case 9:
@@ -345,10 +288,58 @@ func fig4Cells(sc Config) []valueCell[fig4Point] {
 				case 44:
 					label = "44 (B8500)"
 				}
-				return fig4Point{Label: label, HitRatio: m.TLB().HitRatio(),
-					Accesses: accesses, PerRef: perRef}, nil
+				return oneRow(label, p.HitRatio, p.Accesses, p.PerRef, p.PerRef/base.PerRef), nil
 			},
 		}
 	}
 	return cells
+}
+
+// fig4Measure translates the shared segmented trace through a
+// two-level mapper with tlbSize associative registers.
+func fig4Measure(env engine.Env, sc Config, tlbSize int) (fig4Point, error) {
+	const segs = 16
+	const segWords = 16 * 256
+	refs, err := shared(env, sc, "fig4/segmented-trace", 77,
+		func(rng *sim.RNG) ([]fig4Ref, error) {
+			out := make([]fig4Ref, 50000)
+			for i := range out {
+				if rng.Float64() < 0.85 {
+					out[i].seg = addr.SegID(rng.Intn(3))
+					out[i].off = addr.Name(rng.Intn(4 * 256))
+				} else {
+					out[i].seg = addr.SegID(rng.Intn(segs))
+					out[i].off = addr.Name(rng.Intn(segWords))
+				}
+			}
+			return out, nil
+		})
+	if err != nil {
+		return fig4Point{}, err
+	}
+	clock := &sim.Clock{}
+	m := mapping.NewTwoLevel(clock, segs, tlbSize, 1)
+	for s := addr.SegID(0); s < segs; s++ {
+		pt, err := m.Establish(s, segWords, 256)
+		if err != nil {
+			return fig4Point{}, err
+		}
+		for p := 0; p < segWords/256; p++ {
+			if err := pt.SetEntry(uint64(p), int(s)*64+p); err != nil {
+				return fig4Point{}, err
+			}
+		}
+	}
+	before := clock.Now()
+	for _, r := range refs {
+		if _, err := m.Translate(r.seg, r.off, false); err != nil {
+			return fig4Point{}, err
+		}
+	}
+	hits, misses := m.TLB().Stats()
+	return fig4Point{
+		HitRatio: m.TLB().HitRatio(),
+		Accesses: float64(2*misses) / float64(hits+misses),
+		PerRef:   float64(clock.Now()-before) / float64(len(refs)),
+	}, nil
 }

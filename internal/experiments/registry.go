@@ -18,24 +18,16 @@ import (
 // catalog from their "<name>@<seed>" keys.
 const DistTask = "experiments/cell"
 
-// anyCell is the registry's uniform cell shape: a stable key plus an
-// untyped producer, covering both row-batch cells and typed value
-// cells.
-type anyCell struct {
-	key string
-	run func(env engine.Env) (interface{}, error)
-}
-
-// sweepDef is one registered experiment sweep: its stable id (the wire
-// name), presentation (title, header for table sweeps) and the builder
-// that reconstructs its cells from a Config. Builders must be pure:
+// sweepDef is one registered experiment sweep: its stable id (the CLI
+// and wire name), presentation (title, header) and the builder that
+// reconstructs its cells from a Config. Builders must be pure:
 // the same config must yield the same cells in the same order in every
 // process, or distribution would not be byte-identical.
 type sweepDef struct {
 	id     string
 	title  string
 	header []string
-	build  func(sc Config) []anyCell
+	build  func(sc Config) []cell
 	// spec, when non-nil, overrides the wire spec jobs carry — the seam
 	// declarative scenarios use: their cells travel under the
 	// scenario/cell task (source included), not the compiled-in
@@ -43,53 +35,18 @@ type sweepDef struct {
 	spec func(cellKey string) *engine.Spec
 }
 
+// sweepRegistry holds every compiled-in sweep by id, for workers
+// rebuilding a cell from its wire spec.
 var sweepRegistry = map[string]*sweepDef{}
 
-func addSweep(d *sweepDef) *sweepDef {
-	if d.id == "" || d.build == nil {
-		panic("experiments: sweep needs an id and a builder")
-	}
-	if _, dup := sweepRegistry[d.id]; dup {
-		panic(fmt.Sprintf("experiments: sweep %q registered twice", d.id))
-	}
-	sweepRegistry[d.id] = d
-	return d
-}
-
-// anyCeller is a cell shape the registry can erase to an anyCell.
-type anyCeller interface{ asAny() anyCell }
-
-func (c cell) asAny() anyCell {
-	return anyCell{key: c.key, run: func(env engine.Env) (interface{}, error) { return c.run(env) }}
-}
-
-func (c valueCell[T]) asAny() anyCell {
-	return anyCell{key: c.key, run: func(env engine.Env) (interface{}, error) { return c.run(env) }}
-}
-
-// eraseCells lifts a typed cell builder to the registry's uniform
-// shape.
-func eraseCells[C anyCeller](build func(Config) []C) func(Config) []anyCell {
-	return func(sc Config) []anyCell {
-		cells := build(sc)
-		out := make([]anyCell, len(cells))
-		for i, cl := range cells {
-			out[i] = cl.asAny()
-		}
-		return out
-	}
-}
-
-// registerSweep registers a table sweep whose cells yield RowBatches.
+// registerSweep registers a compiled-in sweep under its id.
 func registerSweep(id, title string, header []string, build func(Config) []cell) *sweepDef {
-	return addSweep(&sweepDef{id: id, title: title, header: header, build: eraseCells(build)})
-}
-
-// registerValueSweep registers a sweep whose cells yield typed
-// intermediate values (collected with runValueSweep for cross-cell
-// aggregation such as Figure 4's baseline normalization).
-func registerValueSweep[T any](id, title string, build func(Config) []valueCell[T]) *sweepDef {
-	return addSweep(&sweepDef{id: id, title: title, build: eraseCells(build)})
+	if _, dup := sweepRegistry[id]; dup {
+		panic(fmt.Sprintf("experiments: sweep %q registered twice", id))
+	}
+	d := &sweepDef{id: id, title: title, header: header, build: build}
+	sweepRegistry[id] = d
+	return d
 }
 
 // jobs turns the sweep's cells into engine jobs. Every job carries a
@@ -117,16 +74,10 @@ func (d *sweepDef) jobs(sc Config) []engine.Job {
 	return jobs
 }
 
-// run executes a registered table sweep under the zero Config
-// (GOMAXPROCS cell slots, paper-exact seed) and aggregates it exactly
-// like runTable — the entry point of the exported per-experiment
-// wrappers (T1Replacement, ...). Batteries go through runCtx.
-func (d *sweepDef) run() (*metrics.Table, error) {
-	return d.runCtx(context.Background(), Config{})
-}
-
-// runCtx executes a registered table sweep under an explicit
-// configuration and cancellation context.
+// runCtx executes the sweep under an explicit configuration and
+// cancellation context and aggregates its cells' rows into its table.
+// A panicked cell becomes a FAILED row; an ordinary error aborts the
+// table.
 func (d *sweepDef) runCtx(ctx context.Context, sc Config) (*metrics.Table, error) {
 	t := &metrics.Table{Title: d.title, Header: d.header}
 	eng := newEngine(sc, d.title)
@@ -134,36 +85,6 @@ func (d *sweepDef) runCtx(ctx context.Context, sc Config) (*metrics.Table, error
 		return nil, err
 	}
 	return t, nil
-}
-
-// runValueSweep executes a registered value sweep and returns the
-// typed cell values in cell order. Any failure — including a contained
-// panic — aborts the sweep, since a missing intermediate leaves
-// nothing to aggregate against; the first failure cancels cells not
-// yet started.
-func runValueSweep[T any](ctx context.Context, d *sweepDef, sc Config) ([]T, error) {
-	eng := newEngine(sc, d.title)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var firstErr error
-	results := eng.Stream(ctx, d.jobs(sc), func(r engine.Result) {
-		if r.Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cell %s: %w", r.Key, r.Err)
-			cancel()
-		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	out := make([]T, len(results))
-	for i, r := range results {
-		v, ok := r.Value.(T)
-		if !ok {
-			return nil, fmt.Errorf("cell %s: value %T is not %T", r.Key, r.Value, out[i])
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // runRemoteCell is the worker-side handler: rebuild the named sweep's
@@ -187,6 +108,4 @@ func runRemoteCell(ctx context.Context, c dist.Call) (interface{}, error) {
 
 func init() {
 	dist.Handle(DistTask, runRemoteCell)
-	// Figure 4 cells ship typed intermediates across the wire.
-	dist.RegisterValue(fig4Point{})
 }

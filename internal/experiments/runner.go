@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"strconv"
 
 	"dsa/internal/engine"
-	"dsa/internal/metrics"
 	"dsa/internal/sim"
 	"dsa/internal/workload/catalog"
 )
@@ -31,24 +29,16 @@ func (c Config) workloadKey(name string, fixed uint64) string {
 	return name + "@" + strconv.FormatUint(c.seeded(fixed), 16)
 }
 
-// newSweepCatalog builds the workload catalog each sweep shares.
-// Benchmarks swap in catalog.Disabled to measure the per-cell
-// regeneration baseline without touching any call site.
-var newSweepCatalog = catalog.New
-
 // catalogHook, when non-nil, observes each sweep's catalog as it is
 // created (test instrumentation).
 var catalogHook func(sweep string, c *catalog.Catalog)
 
-// newEngine builds the engine for one sweep: the sweep's catalog — a
-// child scope of the battery store when there is one, a fresh
-// per-sweep catalog otherwise — plus the configured executor (or cell
-// budget), seed, and the progress observer bound to the sweep's title.
+// newEngine builds the engine for one sweep: a child scope of the
+// battery store as the sweep's catalog, plus the configured executor
+// (or cell budget), seed, and the progress observer bound to the
+// sweep's title.
 func newEngine(c Config, sweep string) *engine.Engine {
 	cat := c.Store.Child()
-	if cat == nil {
-		cat = newSweepCatalog()
-	}
 	ec := engine.Config{Parallel: c.Parallel, Seed: c.Seed, Catalog: cat, Executor: c.Executor}
 	if obs := c.OnProgress; obs != nil {
 		ec.OnProgress = func(p engine.Progress) { obs(sweep, p) }
@@ -79,39 +69,6 @@ func shared[T any](env engine.Env, c Config, name string, fixed uint64, gen func
 type cell struct {
 	key string
 	run func(env engine.Env) (engine.RowBatch, error)
-}
-
-// runTable fans cells out across the engine and streams their row
-// batches into a table in cell order. A panicked cell — including one
-// that hit a poisoned catalog entry — is recorded as a FAILED row (the
-// rest of the sweep survives); an ordinary error aborts the table,
-// matching the old serial contract. Unlike registered sweeps
-// (sweepDef.run), these ad-hoc cells carry no Spec and always execute
-// in-process — the path tests and benchmarks use for one-off sweeps.
-func runTable(c Config, title string, header []string, cells []cell) (*metrics.Table, error) {
-	t := &metrics.Table{Title: title, Header: header}
-	eng := newEngine(c, title)
-	jobs := make([]engine.Job, len(cells))
-	for i, cl := range cells {
-		cl := cl
-		jobs[i] = engine.Job{Key: cl.key, Run: func(ctx context.Context, env engine.Env) (interface{}, error) {
-			return cl.run(env)
-		}}
-	}
-	if _, err := eng.FillTable(context.Background(), t, jobs); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// valueCell is a cell that yields a typed intermediate value instead
-// of finished rows — for experiments whose rows need cross-cell
-// context (e.g. Figure 4 normalizes every row by the no-TLB baseline).
-// Value sweeps register with registerValueSweep and run with
-// runValueSweep.
-type valueCell[T any] struct {
-	key string
-	run func(env engine.Env) (T, error)
 }
 
 // oneRow wraps a single row as the batch a cell returns.

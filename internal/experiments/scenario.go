@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 
-	"dsa/internal/engine"
 	"dsa/internal/scenario"
 )
 
@@ -39,14 +38,11 @@ func RegisterScenario(s *scenario.Scenario) string {
 		id:     id,
 		title:  s.Title,
 		header: s.Header(),
-		build: func(sc Config) []anyCell {
+		build: func(sc Config) []cell {
 			cells := s.Cells(sc.Seed)
-			out := make([]anyCell, len(cells))
+			out := make([]cell, len(cells))
 			for i, cl := range cells {
-				cl := cl
-				out[i] = anyCell{key: cl.Key, run: func(env engine.Env) (interface{}, error) {
-					return cl.Run(env)
-				}}
+				out[i] = cell{key: cl.Key, run: cl.Run}
 			}
 			return out
 		},

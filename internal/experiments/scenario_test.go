@@ -74,12 +74,12 @@ func TestScenarioNameResolution(t *testing.T) {
 	if _, err := byName(id); err != nil {
 		t.Errorf("full id: %v", err)
 	}
-	if e, err := byName("t2-mirror"); err != nil || e.name != id {
-		t.Errorf("bare name resolved to (%q, %v), want %q", e.name, err, id)
+	if got, err := Resolve("t2-mirror"); err != nil || got != id {
+		t.Errorf("bare name resolved to (%q, %v), want %q", got, err, id)
 	}
 	// The compiled-in battery always wins over scenarios.
-	if e, err := byName("t2"); err != nil || e.name != "t2" {
-		t.Errorf("t2 resolved to (%q, %v)", e.name, err)
+	if got, err := Resolve("t2"); err != nil || got != "t2" {
+		t.Errorf("t2 resolved to (%q, %v)", got, err)
 	}
 	if _, err := byName("no-such-scenario"); err == nil ||
 		!strings.Contains(err.Error(), "unknown experiment") {

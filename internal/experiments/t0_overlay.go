@@ -3,7 +3,6 @@ package experiments
 import (
 	"dsa/internal/alloc"
 	"dsa/internal/engine"
-	"dsa/internal/metrics"
 	"dsa/internal/overlay"
 	"dsa/internal/replace"
 	"dsa/internal/segment"
@@ -53,7 +52,7 @@ func overlayCallTrace(rng *sim.RNG, phases, callsPerPhase int) []string {
 	return out
 }
 
-// T0Overlay compares the paper's introduction-era regimes on one call
+// t0Def compares the paper's introduction-era regimes on one call
 // trace: (a) keep everything resident (no allocation problem, maximal
 // storage); (b) static preplanned overlays sized by worst-case
 // estimate; (c) dynamic storage allocation (segment manager) given the
@@ -62,8 +61,6 @@ func overlayCallTrace(rng *sim.RNG, phases, callsPerPhase int) []string {
 // is the paper's opening argument for why allocation became a system
 // responsibility. The three regimes replay the same call trace as
 // independent engine cells.
-func T0Overlay() (*metrics.Table, error) { return t0Def.run() }
-
 var t0Def = registerSweep("t0",
 	"T0 — static overlays vs dynamic allocation (introduction era)",
 	[]string{"regime", "storage words", "segments loaded",

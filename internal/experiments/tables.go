@@ -8,7 +8,6 @@ import (
 	"dsa/internal/core"
 	"dsa/internal/engine"
 	"dsa/internal/machine"
-	"dsa/internal/metrics"
 	"dsa/internal/replace"
 	"dsa/internal/scenario"
 	"dsa/internal/sim"
@@ -16,17 +15,15 @@ import (
 	"dsa/internal/workload"
 )
 
-// T1Replacement reproduces the replacement-strategy comparison the
-// paper builds on Belady's study [1]: fault counts for MIN, LRU, Clock,
+// t1Def reproduces the replacement-strategy comparison the paper
+// builds on Belady's study [1]: fault counts for MIN, LRU, Clock,
 // FIFO, Random, the M44 class policy and the ATLAS learning program,
 // across memory sizes and reference regimes. Expected shape: MIN is a
 // lower bound everywhere; LRU ≈ Clock ≤ FIFO ≤ Random under locality;
-// the learning program wins on loops and loses on random traffic.
-// Each trace × frame-count pair is an independent engine cell; the
-// three traces are materialized once each in the sweep catalog and
-// shared read-only across the frame-count cells.
-func T1Replacement() (*metrics.Table, error) { return t1Def.run() }
-
+// the learning program wins on loops and loses on random traffic. Each
+// trace × frame-count pair is an independent engine cell; the three
+// traces are materialized once each in the sweep catalog and shared
+// read-only across the frame-count cells.
 var t1Def = registerSweep("t1",
 	"T1 — replacement strategies (faults; after Belady [1])",
 	[]string{"trace", "frames",
@@ -95,18 +92,16 @@ func t1Cells(sc Config) []cell {
 	return cells
 }
 
-// T2Placement reproduces the placement-strategy comparison of the
-// Placement Strategies section: first fit, best fit (B5000), worst
-// fit, next fit, two-ended and the Rice chain, across request-size
+// t2Def reproduces the placement-strategy comparison of the Placement
+// Strategies section: first fit, best fit (B5000), worst fit, next
+// fit, two-ended and the Rice chain, across request-size
 // distributions. Reported: achieved utilization when the first
-// fragmentation failure occurs, external fragmentation at steady state,
-// and search effort (probes per allocation, the bookkeeping cost the
-// two-ended strategy was designed to cut). Each distribution × policy
-// pair is an independent engine cell; each distribution's request
-// stream is materialized once in the sweep catalog and replayed by all
-// six policy cells.
-func T2Placement() (*metrics.Table, error) { return t2Def.run() }
-
+// fragmentation failure occurs, external fragmentation at steady
+// state, and search effort (probes per allocation, the bookkeeping
+// cost the two-ended strategy was designed to cut). Each distribution
+// × policy pair is an independent engine cell; each distribution's
+// request stream is materialized once in the sweep catalog and
+// replayed by all six policy cells.
 var t2Def = registerSweep("t2",
 	"T2 — placement strategies (heap 64Ki words)",
 	[]string{"distribution", "policy", "allocs", "frag failures",
@@ -168,8 +163,8 @@ func t3Sizes(env engine.Env, sc Config) ([]int, int, error) {
 	return sizes, total, nil
 }
 
-// T3UnitSize reproduces the unit-of-allocation discussion: "If it is
-// too small, there will be an unacceptable amount of overhead. If it is
+// t3Def reproduces the unit-of-allocation discussion: "If it is too
+// small, there will be an unacceptable amount of overhead. If it is
 // too large, too much space will be wasted." A compiler-shaped segment
 // population is held in pages of sweeping size; internal waste rises
 // with page size while table overhead (one word per page table entry)
@@ -177,8 +172,6 @@ func t3Sizes(env engine.Env, sc Config) ([]int, int, error) {
 // trades the internal waste for external fragmentation. One engine
 // cell per page size plus one for the variable-unit heap, all sharing
 // one cataloged segment population.
-func T3UnitSize() (*metrics.Table, error) { return t3Def.run() }
-
 var t3Def = registerSweep("t3",
 	"T3 — choosing the unit of allocation (3000 segments)",
 	[]string{"unit", "pages", "table words", "internal waste",
@@ -239,13 +232,11 @@ func t3Cells(sc Config) []cell {
 	return cells
 }
 
-// T4Machines runs the common segmented workload on all seven appendix
+// t4Def runs the common segmented workload on all seven appendix
 // machines and reports their behaviour side by side — one engine cell
 // per machine. The workload is materialized once in the sweep catalog;
 // every machine replays the same immutable declaration/reference
 // stream while the seven historical simulations proceed concurrently.
-func T4Machines() (*metrics.Table, error) { return t4Def.run() }
-
 var t4Def = registerSweep("t4",
 	"T4 — the appendix survey on a common workload (32 segments, 20000 refs)",
 	[]string{"machine", "app.", "characteristics", "fetches",
@@ -306,17 +297,15 @@ func t4Cells(sc Config) []cell {
 	return cells
 }
 
-// T5Predictive reproduces the predictive-information discussion using
-// the M44/44X (the system with the WillNeed/WontNeed instructions):
-// a phase-structured program runs under pure demand paging, with
+// t5Def reproduces the predictive-information discussion using the
+// M44/44X (the system with the WillNeed/WontNeed instructions): a
+// phase-structured program runs under pure demand paging, with
 // accurate advice, and with adversarially wrong advice. Correct advice
-// cuts waiting (pages arrive overlapped, dead pages leave early); wrong
-// advice must not break anything but costs performance — the paper's
-// argument for treating directives as advisory tuning. One engine cell
-// per advice variant, all replaying the same cataloged base program
-// (the advice wrappers copy; the base is never mutated).
-func T5Predictive() (*metrics.Table, error) { return t5Def.run() }
-
+// cuts waiting (pages arrive overlapped, dead pages leave early);
+// wrong advice must not break anything but costs performance — the
+// paper's argument for treating directives as advisory tuning. One
+// engine cell per advice variant, all replaying the same cataloged
+// base program (the advice wrappers copy; the base is never mutated).
 var t5Def = registerSweep("t5",
 	"T5 — predictive information on the M44/44X",
 	[]string{"variant", "faults", "prefetches", "advice evictions",
@@ -371,14 +360,12 @@ func t5Cells(sc Config) []cell {
 	return cells
 }
 
-// T6DualPageSize reproduces the MULTICS dual-page-size argument (A.6):
-// with 64- and 1024-word page frames "the loss in storage utilization
-// caused by fragmentation occurring within pages can be reduced", at
-// the cost of added placement/replacement complexity (more table
-// entries to manage). One engine cell per paging scheme over the same
-// cataloged segment population.
-func T6DualPageSize() (*metrics.Table, error) { return t6Def.run() }
-
+// t6Def reproduces the MULTICS dual-page-size argument (A.6): with 64-
+// and 1024-word page frames "the loss in storage utilization caused by
+// fragmentation occurring within pages can be reduced", at the cost of
+// added placement/replacement complexity (more table entries to
+// manage). One engine cell per paging scheme over the same cataloged
+// segment population.
 var t6Def = registerSweep("t6",
 	"T6 — MULTICS dual page sizes (3000 segments)",
 	[]string{"scheme", "pages", "table words", "waste words", "waste frac"},
@@ -436,19 +423,17 @@ func t6Cells(sc Config) []cell {
 	return []cell{single("64-word only", 64), single("1024-word only", 1024), dual}
 }
 
-// T7NameSpace reproduces the symbolic-vs-linear segment-naming
-// comparison of the Name Space section: under creation/destruction
-// churn, a linearly segmented name space must find and eventually fails
-// to find contiguous runs of segment names ("one does not need to
-// search a dictionary for a group of available contiguous segment
-// names" with symbols), while the symbolic dictionary does constant
-// bookkeeping and never fragments. The two dictionaries run as
-// independent engine cells over the same churn sequence. The churn is
-// generated inline (not cataloged): each step's RNG draws depend on the
-// dictionary's own success or failure, so the sequence is simulation
-// state, not a pure workload.
-func T7NameSpace() (*metrics.Table, error) { return t7Def.run() }
-
+// t7Def reproduces the symbolic-vs-linear segment-naming comparison of
+// the Name Space section: under creation/destruction churn, a linearly
+// segmented name space must find and eventually fails to find
+// contiguous runs of segment names ("one does not need to search a
+// dictionary for a group of available contiguous segment names" with
+// symbols), while the symbolic dictionary does constant bookkeeping
+// and never fragments. The two dictionaries run as independent engine
+// cells over the same churn sequence. The churn is generated inline
+// (not cataloged): each step's RNG draws depend on the dictionary's
+// own success or failure, so the sequence is simulation state, not a
+// pure workload.
 var t7Def = registerSweep("t7",
 	"T7 — segment-name bookkeeping: symbolic vs linear dictionary",
 	[]string{"dictionary", "ops", "probes or lookups",
@@ -523,15 +508,13 @@ func t7Cells(sc Config) []cell {
 	return []cell{linear, symbolic}
 }
 
-// T8Overlap reproduces the fetch-overlap argument: "a large space-time
+// t8Def reproduces the fetch-overlap argument: "a large space-time
 // product will not overly affect the performance of a system if the
 // time spent on fetching pages can normally be overlapped with the
 // execution of other programs" — until per-program core becomes so
 // small that fault rates explode (thrashing). One engine cell per
 // multiprogramming degree; the sweep is analytic (no generated
 // workload to catalog).
-func T8Overlap() (*metrics.Table, error) { return t8Def.run() }
-
 var t8Def = registerSweep("t8",
 	"T8 — multiprogramming overlap of page fetches",
 	[]string{"programs", "frames/program", "refs between faults",
@@ -566,15 +549,13 @@ func t8Cells(sc Config) []cell {
 	return cells
 }
 
-// T8OverlapTraced is the trace-driven companion of T8: instead of the
-// analytic lifetime curve, N real working-set programs run on real
-// pagers sharing one core, the processor switching on every fault.
-// Each multiprogramming degree is an engine cell running its own
+// t8bDef is the trace-driven companion of T8: instead of the analytic
+// lifetime curve, N real working-set programs run on real pagers
+// sharing one core, the processor switching on every fault. Each
+// multiprogramming degree is an engine cell running its own
 // shared-core simulation; program i's trace is materialized once in
-// the sweep catalog, so degree 8 reuses the traces degrees 1–4
-// already forced.
-func T8OverlapTraced() (*metrics.Table, error) { return t8bDef.run() }
-
+// the sweep catalog, so degree 8 reuses the traces degrees 1–4 already
+// forced.
 var t8bDef = registerSweep("t8b",
 	"T8b — multiprogramming overlap, trace-driven (shared core, LRU pagers)",
 	[]string{"programs", "frames/program", "faults",
