@@ -10,8 +10,10 @@
 //
 // parse reads benchmark result lines ("BenchmarkFoo/case-8  100  1234
 // ns/op  56 B/op  7 allocs/op") from stdin or a file. The trailing
-// -GOMAXPROCS suffix is stripped so snapshots compare across machines
-// with different core counts. With -count > 1 a benchmark appears
+// -GOMAXPROCS suffix is stripped from the names so snapshots compare
+// across machines with different core counts; its value, with the
+// goos, goarch and cpu header lines, is kept as the snapshot's host.
+// With -count > 1 a benchmark appears
 // several times; parse keeps the fastest run per name, the standard
 // noise floor for gating (the minimum is the run least disturbed by
 // the machine, and it is far more stable across CI hosts than the
@@ -19,8 +21,11 @@
 //
 // diff prints one row per benchmark common to both snapshots — old
 // and new ns/op, the delta, and allocs movement — then the geometric
-// mean of the new/old time ratios. Benchmarks present on only one
-// side are listed but never gated. With -gate PCT the exit status
+// mean of the new/old time ratios. A "cross-host" line above the table
+// flags snapshots from different hosts, and a "host unknown" line
+// flags a snapshot that records none: either way the delta may be the
+// machine, not the code. Benchmarks present on only one side are
+// listed but never gated. With -gate PCT the exit status
 // becomes 2 when the geomean regresses by more than PCT percent,
 // which is what lets CI hard-fail a pull request that slows the hot
 // paths down. -gate-allocs PCT gates the allocs/op geomean the same
@@ -53,8 +58,23 @@ type Result struct {
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
 
-// Snapshot is the JSON file format: a sorted list of results.
+// Host is the machine a snapshot was measured on, as go test -bench
+// reports it.
+type Host struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+func (h Host) String() string {
+	return fmt.Sprintf("%s/%s, %s, GOMAXPROCS %d", h.GOOS, h.GOARCH, h.CPU, h.GOMAXPROCS)
+}
+
+// Snapshot is the JSON file format: the host, when the bench output
+// named one, and a sorted list of results.
 type Snapshot struct {
+	Host       *Host    `json:"host,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -90,14 +110,27 @@ func fatal(err error) {
 var procSuffix = regexp.MustCompile(`-\d+$`)
 
 // parseBench extracts benchmark result lines from go test output,
-// keeping the fastest run per (normalized) name.
+// keeping the fastest run per (normalized) name, and the host from the
+// header lines. go test names no -GOMAXPROCS suffix when it is 1.
 func parseBench(r io.Reader) (*Snapshot, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
 	best := map[string]Result{}
+	var host Host
+	procs := 1
 	for _, line := range strings.Split(string(raw), "\n") {
+		if k, v, ok := strings.Cut(line, ": "); ok {
+			switch k {
+			case "goos":
+				host.GOOS = v
+			case "goarch":
+				host.GOARCH = v
+			case "cpu":
+				host.CPU = v
+			}
+		}
 		f := strings.Fields(line)
 		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || f[3] != "ns/op" {
 			continue
@@ -109,6 +142,9 @@ func parseBench(r io.Reader) (*Snapshot, error) {
 		ns, err := strconv.ParseFloat(f[2], 64)
 		if err != nil {
 			continue
+		}
+		if m := procSuffix.FindString(f[0]); m != "" {
+			procs, _ = strconv.Atoi(m[1:])
 		}
 		res := Result{
 			Name:       procSuffix.ReplaceAllString(f[0], ""),
@@ -136,6 +172,10 @@ func parseBench(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("no benchmark result lines found in input")
 	}
 	snap := &Snapshot{}
+	if host != (Host{}) {
+		host.GOMAXPROCS = procs
+		snap.Host = &host
+	}
 	for _, r := range best {
 		snap.Benchmarks = append(snap.Benchmarks, r)
 	}
@@ -223,6 +263,9 @@ func cmdDiff(args []string) {
 	sort.Strings(names)
 
 	w := os.Stdout
+	if line := hostLine(fs.Arg(0), oldSnap.Host, fs.Arg(1), newSnap.Host); line != "" {
+		fmt.Fprintln(w, line)
+	}
 	fmt.Fprintf(w, "%-60s %14s %14s %9s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta", "allocs")
 	logSum := 0.0
 	for _, n := range names {
@@ -278,6 +321,28 @@ func cmdDiff(args []string) {
 	if failed {
 		os.Exit(2)
 	}
+}
+
+// hostLine is the warning diff prints above its table: "cross-host"
+// when both snapshots name a host and the hosts differ, "host unknown"
+// when either names none, and "" when both name the same host.
+func hostLine(oldPath string, oldHost *Host, newPath string, newHost *Host) string {
+	var unknown []string
+	if oldHost == nil {
+		unknown = append(unknown, oldPath)
+	}
+	if newHost == nil {
+		unknown = append(unknown, newPath)
+	}
+	switch {
+	case len(unknown) > 0:
+		return fmt.Sprintf("host unknown: no host recorded in %s; the delta may be a host difference",
+			strings.Join(unknown, " and "))
+	case *oldHost != *newHost:
+		return fmt.Sprintf("cross-host: %s is %s but %s is %s; the delta mixes host and code",
+			oldPath, oldHost, newPath, newHost)
+	}
+	return ""
 }
 
 // allocsGeomean is the geometric mean of the new/old allocs-per-op

@@ -100,3 +100,65 @@ func TestAllocsGeomeanGateBoundary(t *testing.T) {
 		}
 	}
 }
+
+func TestParseBenchRecordsHost(t *testing.T) {
+	in := `goos: linux
+goarch: amd64
+pkg: dsa
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkTLBLookup-2     100000      77.35 ns/op
+PASS
+`
+	snap, err := parseBench(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Host{GOOS: "linux", GOARCH: "amd64", CPU: "Intel(R) Xeon(R) Processor", GOMAXPROCS: 2}
+	if snap.Host == nil || *snap.Host != want {
+		t.Fatalf("host = %+v, want %+v", snap.Host, want)
+	}
+	// go test appends no suffix at GOMAXPROCS 1.
+	snap, err = parseBench(strings.NewReader("goos: linux\nBenchmarkTLBLookup   100   77 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Host == nil || snap.Host.GOMAXPROCS != 1 {
+		t.Fatalf("host = %+v, want GOMAXPROCS 1", snap.Host)
+	}
+	// No header lines: the host is unknown, not zero.
+	snap, err = parseBench(strings.NewReader("BenchmarkTLBLookup-8   100   77 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Host != nil {
+		t.Fatalf("host = %+v, want none", snap.Host)
+	}
+}
+
+func TestHostLine(t *testing.T) {
+	a := &Host{GOOS: "linux", GOARCH: "amd64", CPU: "Xeon", GOMAXPROCS: 2}
+	b := &Host{GOOS: "linux", GOARCH: "amd64", CPU: "Xeon", GOMAXPROCS: 8}
+	same := *a
+	for _, tc := range []struct {
+		name       string
+		old, new   *Host
+		wantPrefix string
+		wantIn     string
+	}{
+		{"same host", a, &same, "", ""},
+		{"cross-host", a, b, "cross-host: ", "GOMAXPROCS 2 but new.json is linux/amd64, Xeon, GOMAXPROCS 8"},
+		{"old unknown", nil, b, "host unknown: ", "no host recorded in old.json;"},
+		{"both unknown", nil, nil, "host unknown: ", "no host recorded in old.json and new.json;"},
+	} {
+		got := hostLine("old.json", tc.old, "new.json", tc.new)
+		if tc.wantPrefix == "" {
+			if got != "" {
+				t.Errorf("%s: line = %q, want none", tc.name, got)
+			}
+			continue
+		}
+		if !strings.HasPrefix(got, tc.wantPrefix) || !strings.Contains(got, tc.wantIn) {
+			t.Errorf("%s: line = %q, want prefix %q containing %q", tc.name, got, tc.wantPrefix, tc.wantIn)
+		}
+	}
+}

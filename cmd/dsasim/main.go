@@ -1,4 +1,4 @@
-// Command dsasim runs one of the appendix machines (or the authors'
+// Command dsasim simulates one of the appendix machines (or the authors'
 // recommended configuration) against a chosen workload and prints a
 // report: fetches, space-time accounting, fragmentation and timing.
 //
@@ -12,7 +12,6 @@
 //	dsasim -machine all -cache-dir traces.cache -workload segments
 //	dsasim serve-worker -listen 0.0.0.0:7070 -cache-dir traces.cache
 //	dsasim -machine all -remote host1:7070,host2:7070 -workload segments
-//	dsasim run -scenario examples/scenarios/t2-mirror.toml
 //	dsasim serve -listen 127.0.0.1:8080 -cache-dir sweeps.cache
 //
 // Machines: atlas m44 b5000 rice b8500 multics m67 recommended, or
@@ -38,12 +37,6 @@
 // cells), reconnects within the same budget as local respawns, and
 // degrades to in-process execution — byte-identical output throughout.
 //
-// `dsasim run -scenario FILE,...` compiles declarative sweep files
-// (see internal/scenario and examples/scenarios/) and runs them
-// through the experiments battery — the same scheduler, store scoping
-// and -workers/-remote distribution dsafig uses, with byte-identical
-// output. Its -seed defaults to 0 (paper-exact), matching dsafig.
-//
 // `dsasim serve` runs the multi-tenant sweep service: a long-lived
 // daemon owning one battery-wide cell budget (-parallel), one workload
 // store (-cache-dir) and one cost manifest, accepting sweep
@@ -54,7 +47,7 @@
 // (GET /results/{key}). -tenant-cells caps one tenant's concurrent
 // cells, -tenant-jobs its open jobs (excess submissions get 429 +
 // Retry-After). See the package dsa documentation, "Running the sweep
-// service", and cmd/dsabench for the load harness.
+// service".
 //
 // The hidden `dsasim worker` subcommand is the child side of -workers:
 // it serves cell batches over the stdio protocol of
@@ -77,10 +70,8 @@ import (
 	"dsa/internal/core"
 	"dsa/internal/engine"
 	"dsa/internal/engine/dist"
-	"dsa/internal/experiments"
 	"dsa/internal/machine"
 	"dsa/internal/metrics"
-	"dsa/internal/scenario"
 	"dsa/internal/trace"
 	"dsa/internal/workload/catalog"
 	"dsa/internal/workload/stock"
@@ -127,10 +118,6 @@ func main() {
 		}
 		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "run" {
-		cmdRun(os.Args[2:])
-		return
-	}
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
 		cmdServe(os.Args[2:])
 		return
@@ -145,6 +132,11 @@ func main() {
 	)
 	sw := cliflags.Register(flag.CommandLine, "dsasim", 1)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "dsasim: unknown subcommand %q (want serve or serve-worker, or flags only)\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	stopProfiles, err := sw.StartProfiles()
 	if err != nil {
 		fail(err)
@@ -182,49 +174,6 @@ func main() {
 		fail(err)
 	}
 	fmt.Print(reportString(m, rep))
-}
-
-// cmdRun is the `dsasim run -scenario file.toml` entry point: compile
-// declarative sweep files and run them through the experiments battery
-// — the same scheduler, store scoping and distribution dsafig uses, so
-// the output of `dsasim run -scenario F` and `dsafig -scenario F` is
-// byte-identical. -seed defaults to 0 here (paper-exact semantics, as
-// for dsafig) rather than dsasim's generation default of 1.
-func cmdRun(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	scenarios := fs.String("scenario", "", "comma-separated scenario files to compile and run (required)")
-	sw := cliflags.Register(fs, "dsasim", 0)
-	_ = fs.Parse(args)
-	stopProfiles, err := sw.StartProfiles()
-	if err != nil {
-		fail(err)
-	}
-	defer stopProfiles()
-
-	var names []string
-	for _, path := range strings.Split(*scenarios, ",") {
-		if path = strings.TrimSpace(path); path == "" {
-			continue
-		}
-		s, err := scenario.Load(path)
-		if err != nil {
-			fail(err)
-		}
-		names = append(names, experiments.RegisterScenario(s))
-	}
-	if len(names) == 0 {
-		fail(fmt.Errorf("run: -scenario names no files"))
-	}
-
-	c, finish, err := sw.Battery()
-	if err != nil {
-		fail(err)
-	}
-	err = experiments.StreamConfig(context.Background(), c, func(t *metrics.Table) { fmt.Println(t) }, names...)
-	finish()
-	if err != nil {
-		fail(err)
-	}
 }
 
 // runAll sweeps every appendix machine over the same workload, one
@@ -272,7 +221,7 @@ func runAll(sw *cliflags.Sweep, kind string, refs, segs, scale int) error {
 		fmt.Print(r.Value.(string))
 	})
 	if pool != nil {
-		fmt.Fprintf(os.Stderr, "dsasim: dist: %s\n", pool.Stats().Summary(sw.PoolSlots()))
+		fmt.Fprintf(os.Stderr, "dsasim: dist: %s\n", pool.Summary())
 	}
 	if sw.CacheDir != "" || sw.Progress {
 		fmt.Fprintf(os.Stderr, "dsasim: store: %s\n", store.Stats().Summary())
@@ -364,13 +313,12 @@ func buildMachine(name string, scale int) (*machine.Machine, error) {
 }
 
 // runWorkload materializes the machine's workload through the shared
-// store (internal/workload/stock owns the keys and generators, shared
-// with `dsatrace warm`) and replays it. Keys embed every generation
-// determinant, so two machines whose parameters coincide share one
-// materialization (in this process, across worker processes via the
-// cache directory, and across runs), and two that differ can never
-// alias. Replay APIs treat the trace as read-only, upholding the
-// store's immutability contract.
+// store (internal/workload/stock owns the keys and generators) and
+// replays it. Keys embed every generation determinant, so two
+// machines whose parameters coincide share one materialization (in
+// this process, across worker processes via the cache directory, and
+// across runs), and two that differ can never alias. Replay APIs treat
+// the trace as read-only, upholding the store's immutability contract.
 func runWorkload(cat *catalog.Catalog, m *machine.Machine, kind string, refs, segs int, seed uint64) (*core.Report, error) {
 	if kind == "segments" {
 		w, err := stock.Segments(cat, segs, refs, seed)

@@ -7,9 +7,6 @@
 //	dsatrace gen  -kind loop -pages 24 -passes 50 > loop.trace
 //	dsatrace batch -out traces -kinds workingset,random -variants 4 -parallel 4 -progress
 //	dsatrace batch -out traces -cache-dir traces.cache -workers 2 -batch 4
-//	dsatrace warm -cache-dir traces.cache -kinds workingset,loop -variants 4
-//	dsatrace warm -cache-dir traces.cache -machines -workload segments -refs 8000
-//	dsatrace warm -cache-dir traces.cache -scenario examples/scenarios/t2-mirror.toml
 //	dsatrace stat < t.trace
 //	dsatrace advise -phase 2500 -span 2048 < t.trace > advised.trace
 //
@@ -29,17 +26,6 @@
 //	        directory) replays instead of regenerating. Without
 //	        -cache-dir, unique-seed variants bypass the store: pinning
 //	        what can never be shared would only hold memory.
-//	warm    pre-materialize a battery's workload keys into a cache
-//	        directory — the trace keys a `dsatrace batch` with the same
-//	        parameters will request (-kinds/-variants), the
-//	        machine-sweep keys a `dsasim -machine all` will request
-//	        (-machines; one key per distinct machine extent), and/or
-//	        the workload keys a declarative sweep's cells will request
-//	        (-scenario FILE,...; the same keys `dsafig -scenario` and
-//	        `dsasim run -scenario` derive) — so the very first battery
-//	        run against the warmed directory regenerates nothing.
-//	        Idempotent: keys already cached are replayed, not
-//	        rewritten.
 //	stat    summarize a trace from stdin
 //	advise  interleave accurate WillNeed/WontNeed advice
 //
@@ -65,12 +51,10 @@ import (
 	"dsa/internal/cliflags"
 	"dsa/internal/engine"
 	"dsa/internal/engine/dist"
-	"dsa/internal/scenario"
 	"dsa/internal/sim"
 	"dsa/internal/trace"
 	"dsa/internal/workload"
 	"dsa/internal/workload/catalog"
-	"dsa/internal/workload/stock"
 )
 
 // writeTask is the dist handler that materializes and writes one trace
@@ -86,8 +70,6 @@ func main() {
 		cmdGen(os.Args[2:])
 	case "batch":
 		cmdBatch(os.Args[2:])
-	case "warm":
-		cmdWarm(os.Args[2:])
 	case "stat":
 		cmdStat()
 	case "advise":
@@ -102,7 +84,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: dsatrace gen|batch|warm|stat|advise [flags]")
+	fmt.Fprintln(os.Stderr, "usage: dsatrace gen|batch|stat|advise [flags]")
 	os.Exit(2)
 }
 
@@ -269,28 +251,21 @@ func cmdServeWorker(args []string) {
 	}
 }
 
-// getTrace materializes one trace through the store: the single
-// dispatch behind `batch` and `warm`, so a warmed cache directory
-// holds exactly what a later batch will ask for. A stochastic trace's
-// key embeds its unique variant seed, so it can never be shared within
-// a run — it goes through GetOnce, which replays from (and writes to)
-// the disk layer without pinning the trace in memory: one stochastic
-// trace is resident at a time no matter how many variants the batch
-// asks for. Deterministic kinds are shared by every variant and use
-// the pinning path.
-func getTrace(cat *catalog.Catalog, kind string, seed uint64, g genSpec) (trace.Trace, error) {
-	gen := func() (trace.Trace, error) { return genTrace(kind, seed, g) }
-	if stochastic(kind) {
-		return catalog.GetOnce(cat, storeKey(kind, seed, g), gen)
-	}
-	return catalog.Get(cat, storeKey(kind, seed, g), gen)
-}
-
 // writeTrace materializes one trace through the store and encodes it
 // to its output file: the single implementation behind the in-process
-// batch cell and the worker handler.
+// batch cell and the worker handler. A stochastic trace's key embeds
+// its unique variant seed, so it can never be shared within a run — it
+// goes through GetOnce, which replays from (and writes to) the disk
+// layer without pinning the trace in memory: one stochastic trace is
+// resident at a time no matter how many variants the batch asks for.
+// Deterministic kinds are shared by every variant and use the pinning
+// path.
 func writeTrace(cat *catalog.Catalog, kind, path string, seed uint64, g genSpec) (string, error) {
-	tr, err := getTrace(cat, kind, seed, g)
+	get := catalog.Get[trace.Trace]
+	if stochastic(kind) {
+		get = catalog.GetOnce[trace.Trace]
+	}
+	tr, err := get(cat, storeKey(kind, seed, g), func() (trace.Trace, error) { return genTrace(kind, seed, g) })
 	if err != nil {
 		return "", err
 	}
@@ -318,11 +293,9 @@ type batchSpec struct {
 	seed uint64
 }
 
-// batchSpecs expands -kinds × -variants into the batch's output specs
-// — the single derivation behind `dsatrace batch` and `dsatrace warm`,
-// so a warmed cache directory holds exactly the keys a later batch
-// will ask for. shared counts the specs whose store key aliases an
-// earlier spec's (the deterministic kinds' extra variants).
+// batchSpecs expands -kinds × -variants into the batch's output specs.
+// shared counts the specs whose store key aliases an earlier spec's
+// (the deterministic kinds' extra variants).
 func batchSpecs(out, kinds string, variants int, seed uint64, g genSpec) (specs []batchSpec, shared int) {
 	seen := make(map[string]bool)
 	seenKeys := make(map[string]bool)
@@ -439,7 +412,7 @@ func cmdBatch(args []string) {
 	fmt.Printf("wrote %d of %d files (%d served from the shared catalog)\n",
 		wrote, len(specs), shared)
 	if pool != nil {
-		fmt.Fprintf(os.Stderr, "dsatrace: dist: %s\n", pool.Stats().Summary(sw.PoolSlots()))
+		fmt.Fprintf(os.Stderr, "dsatrace: dist: %s\n", pool.Summary())
 	}
 	if sw.CacheDir != "" || sw.Progress {
 		fmt.Fprintf(os.Stderr, "dsatrace: store: %s\n", store.Stats().Summary())
@@ -447,89 +420,6 @@ func cmdBatch(args []string) {
 	if firstErr != nil {
 		fail(firstErr)
 	}
-}
-
-// cmdWarm pre-materializes a battery's workload keys into a cache
-// directory without running anything against them: every key is
-// generated (or disk-replayed, making warm idempotent) through the
-// store, so the very first battery run that shares the directory —
-// `dsatrace batch -cache-dir`, `dsasim -machine all -cache-dir`, and
-// their worker processes — regenerates nothing. -kinds warms the trace
-// keys a `dsatrace batch` with the same parameters will request;
-// -machines warms the machine-sweep keys a `dsasim -machine all
-// -workload KIND` will request (one key per distinct machine extent,
-// via internal/workload/stock — the same keys dsasim itself uses).
-// -scenario warms the workload keys a declarative sweep file's cells
-// will request (`dsafig -scenario F` / `dsasim run -scenario F`): the
-// scenario's seed defaults to 0 — the paper-exact base those commands
-// use — unless -seed is given explicitly.
-func cmdWarm(args []string) {
-	fs := flag.NewFlagSet("warm", flag.ExitOnError)
-	var (
-		cacheDir  = fs.String("cache-dir", "", "disk-backed workload store directory to warm (required)")
-		kinds     = fs.String("kinds", "", "comma-separated trace kinds to warm for `dsatrace batch`")
-		variants  = fs.Int("variants", 1, "seed variants per kind")
-		seed      = fs.Uint64("seed", 1, "base seed; stochastic variant seeds derive via sim.SeedFor")
-		machines  = fs.Bool("machines", false, "warm the `dsasim -machine all` workload keys")
-		mkind     = fs.String("workload", "segments", "machine-sweep workload kind with -machines")
-		segs      = fs.Int("segs", 32, "segment count (segments workload) with -machines")
-		scale     = fs.Int("scale", 2, "capacity scale divisor with -machines")
-		scenarios = fs.String("scenario", "", "comma-separated scenario files whose workload keys to warm")
-	)
-	g := specFlags(fs)
-	_ = fs.Parse(args)
-
-	if *cacheDir == "" {
-		fail(fmt.Errorf("warm: -cache-dir is required (a memory-only warm evaporates with this process)"))
-	}
-	if *kinds == "" && !*machines && *scenarios == "" {
-		fail(fmt.Errorf("warm: nothing to warm; pass -kinds, -machines and/or -scenario"))
-	}
-	if *kinds != "" && *variants < 1 {
-		// The same guard batch enforces: a zero-variant warm would
-		// "succeed" while warming nothing.
-		fail(fmt.Errorf("warm: -variants %d < 1", *variants))
-	}
-	store := cliflags.Store("dsatrace", *cacheDir)
-	specs, _ := batchSpecs("", *kinds, *variants, *seed, *g)
-	for _, sp := range specs {
-		if _, err := getTrace(store, sp.kind, sp.seed, *g); err != nil {
-			fail(err)
-		}
-	}
-	if *machines {
-		if _, err := stock.WarmMachines(store, strings.ToLower(*mkind), g.refs, *segs, *seed, *scale); err != nil {
-			fail(err)
-		}
-	}
-	if *scenarios != "" {
-		// Scenario runs default to seed 0 (paper-exact), while warm's
-		// trace/machine keys default to seed 1 — so warm a scenario at 0
-		// unless the user said -seed themselves.
-		scenarioSeed := uint64(0)
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				scenarioSeed = *seed
-			}
-		})
-		for _, path := range strings.Split(*scenarios, ",") {
-			if path = strings.TrimSpace(path); path == "" {
-				continue
-			}
-			s, err := scenario.Load(path)
-			if err != nil {
-				fail(err)
-			}
-			if _, err := s.Warm(store, scenarioSeed); err != nil {
-				fail(fmt.Errorf("warm: %s: %w", s.ID(), err))
-			}
-		}
-	}
-	// Distinct keys touched = generations + disk replays (repeat
-	// variants of a deterministic kind are in-memory hits, and GetOnce
-	// keys never pin, so neither inflates the count).
-	st := store.Stats()
-	fmt.Printf("warmed %d keys into %s (%s)\n", st.Generations+st.DiskHits, *cacheDir, st.Summary())
 }
 
 func cmdStat() {

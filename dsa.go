@@ -97,10 +97,10 @@
 // "<name>@<seed>" keys, so the immutable workload catalog is the
 // serialization boundary and no workload bytes ever cross the wire.
 // `-workers N` output is byte-for-byte `-parallel N` output at any
-// batch size (the CI dist-smoke job diffs real multi-process sweeps —
-// per-cell, batched, and cache-warm — against the in-process pool and
-// fails on the first differing byte; `make dist-smoke` runs the same
-// checks locally).
+// batch size (TestSmokeDist in internal/smoke diffs real
+// multi-process sweeps — per-cell, batched, and cache-warm — against
+// the in-process pool and names the first differing line; `go test
+// -run Smoke ./internal/smoke` runs every such check).
 //
 // Fault containment extends across the process boundary: a worker that
 // crashes or is killed mid-batch costs exactly its in-flight cells —
@@ -149,16 +149,16 @@
 // (MaxRespawns). A slot whose budget is exhausted, or whose endpoint
 // never answers, degrades to running its cells in-process, so the
 // sweep always completes and -remote output stays byte-identical to
-// -parallel output. The CI tcp-smoke job (`make tcp-smoke` locally)
-// enforces this over real localhost TCP and runs the fault-injection
-// suite — worker killed mid-batch, one-way stall, corrupt frame,
-// budget exhaustion — under the race detector.
+// -parallel output. TestSmokeTCP enforces this over real localhost
+// TCP, and the internal/engine/dist fault-injection tests — worker
+// killed mid-batch, one-way stall, corrupt frame, budget exhaustion —
+// run under the race detector in `make race`.
 //
 // # Running the battery
 //
 // Above the per-sweep axes sits the battery scheduler
 // (internal/engine/battery). Every experiment battery — dsafig,
-// `dsasim run`, a served job — goes through it and through one
+// `dsafig -scenario`, a served job — goes through it and through one
 // function, experiments.StreamConfig, under one per-invocation
 // experiments.Config (the CLIs build theirs from their flags with
 // cliflags.Sweep.Battery). -battery-parallel N runs up to N whole
@@ -184,9 +184,9 @@
 //   - -battery-parallel × -cache-dir: every sweep's catalog is a child
 //     scope of the one battery store, so concurrent sweeps still
 //     materialize each shared workload exactly once (the store
-//     summaries are identical to a serial run's — CI greps this), and
-//     a directory pre-warmed with `dsatrace warm` makes the very first
-//     battery run regenerate nothing.
+//     summaries are identical to a serial run's — the smoke tests
+//     check this), and a second run against a directory the first
+//     run filled regenerates nothing.
 //
 // Output is byte-identical at any -battery-parallel: sweeps complete
 // in any order, but tables are re-emitted in canonical order, and all
@@ -197,9 +197,8 @@
 // FAILED rows in its own table while the rest of the battery
 // completes; with -progress, dsafig reports aggregated battery-wide
 // snapshots (sweeps done/running, cells done/failed/total, store
-// traffic, ETA) instead of interleaved per-sweep lines. The CI
-// battery-smoke gate (`make battery-smoke`) diffs all of this against
-// the serial baseline on every push.
+// traffic, ETA) instead of interleaved per-sweep lines.
+// TestSmokeBattery diffs all of this against the serial baseline.
 //
 // # Declarative sweeps
 //
@@ -218,21 +217,21 @@
 //	min = 16                      # fixed | adversarial | phased | ...
 //	max = 1024
 //
-// Two entry points compile and run scenario files through the same
-// battery plumbing as everything above — scheduler, shared store,
-// -parallel/-workers/-remote/-battery-parallel, -progress:
+// dsafig compiles and runs scenario files through the same battery
+// plumbing as everything above — scheduler, shared store,
+// -parallel/-workers/-remote/-battery-parallel, -progress — and the
+// sweep service accepts the same files as uploads:
 //
 //	dsafig -scenario examples/scenarios/t2-mirror.toml
-//	dsasim run -scenario examples/scenarios/adversarial-frag.toml
+//	dsafig -scenario examples/scenarios/adversarial-frag.toml
 //
 // Compilation lowers the file to exactly the cell shapes the
 // compiled-in experiments produce: same policy constructors, same
 // workload generators behind the same catalog keys, same row and
 // header formats. The guarantee is literal — t2-mirror.toml declares
-// the paper's Table 2 sweep, and CI's scenario-smoke job
-// (`make scenario-smoke` locally) diffs its output byte-for-byte
-// against `dsafig t2`, serially, under -parallel, and across a real
-// two-process -workers pool.
+// the paper's Table 2 sweep, and TestSmokeScenario diffs its output
+// byte-for-byte against `dsafig t2`, serially, under -parallel, and
+// across a real two-process -workers pool.
 //
 // A scenario's identity is its wire id, "scenario/<name>@<hash>" — the
 // hash taken over the file's source bytes — so declarative sweeps
@@ -243,9 +242,9 @@
 // exactly as it does for compiled-in sweeps. Positionally a scenario
 // may also be named by its bare <name> when unambiguous. Scenario
 // workload keys live in the same catalog namespace as everything else,
-// so `dsatrace warm -scenario FILE` pre-materializes a declarative
-// battery's keys and its first -cache-dir run regenerates nothing —
-// the scenario-smoke gate holds that, too.
+// so a -cache-dir run of a declarative battery fills the directory and
+// the next run against it regenerates nothing — TestSmokeScenario
+// holds that, too.
 //
 // # Caching workloads
 //
@@ -319,18 +318,16 @@
 // keeping it while another tenant waits.
 // A tenant already holding -tenant-jobs open jobs gets 429 with a
 // Retry-After estimated from the cost manifest's measured sweep
-// latencies — back-pressure, never an error — and cmd/dsabench is the
-// load harness that proves it (`dsabench load` reports the response
-// mix and submission latency percentiles, and fails on any response
-// outside 2xx/429). Per-job containment mirrors the engine's: a sweep
-// that panics becomes that job's FAILED stream while every other
-// tenant's jobs run on, a cancelled or abandoned stream releases its
-// cells promptly, and SIGTERM drains in-flight streams for -drain
-// before saving the cost manifest and exiting cleanly. CI's
-// serve-smoke job (`make serve-smoke` and `make load-smoke` locally)
-// byte-diffs served streams against the serial CLI, proves re-fetch by
-// key regenerates nothing, and holds the 2xx/429 contract under 220
-// concurrent submissions.
+// latencies — back-pressure, never an error. Per-job containment
+// mirrors the engine's: a sweep that panics becomes that job's FAILED
+// stream while every other tenant's jobs run on, a cancelled or
+// abandoned stream releases its cells promptly, and SIGTERM drains
+// in-flight streams for -drain before saving the cost manifest and
+// exiting cleanly. TestSmokeServe
+// byte-diffs served streams against the serial CLI and proves re-fetch
+// by key regenerates nothing; TestSmokeLoad holds the 2xx/429
+// contract under 220 submissions, 60 in flight, and a clean SIGTERM
+// drain.
 //
 // # Benchmarking and the perf gate
 //

@@ -123,7 +123,7 @@ func (s *Sweep) Battery() (experiments.Config, func(), error) {
 	}
 	finish := func() {
 		if pool != nil {
-			fmt.Fprintf(os.Stderr, "%s: dist: %s\n", s.Prog, pool.Stats().Summary(s.PoolSlots()))
+			fmt.Fprintf(os.Stderr, "%s: dist: %s\n", s.Prog, pool.Summary())
 			pool.Close()
 		}
 		if s.CacheDir != "" || s.Progress {
@@ -194,10 +194,6 @@ func (s *Sweep) Pool() (*dist.Pool, error) {
 	}
 	return dist.SelfPool(s.Workers, s.Batch, s.CacheDir, remotes, s.AuthToken)
 }
-
-// PoolSlots is the slot count for pool stats summaries: local workers
-// plus remote endpoints.
-func (s *Sweep) PoolSlots() int { return s.Workers + len(s.Remotes()) }
 
 // Store builds a workload store, disk-backed when cacheDir is set,
 // with diagnostics prefixed "<prog>: catalog:" on stderr — the one

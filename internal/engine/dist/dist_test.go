@@ -481,6 +481,24 @@ func TestSpecLessJobsRunLocally(t *testing.T) {
 	if st.Local != 4 || st.Remote != 0 {
 		t.Errorf("stats = %+v, want 4 local / 0 remote", st)
 	}
+	want := fmt.Sprintf("0 cells in 2 workers, 4 in-process, 0 crashes, %d steals", st.Steals)
+	if got := pool.Summary(); got != want {
+		t.Errorf("Summary = %q, want %q", got, want)
+	}
+}
+
+// TestPoolSummaryCountsRemoteSlots: the summary's worker count is the
+// pool's own slot count, local children plus remote endpoints.
+func TestPoolSummaryCountsRemoteSlots(t *testing.T) {
+	p, err := NewPool(Options{Workers: 1, Command: "/nonexistent/dsa-worker-binary",
+		Remote: []string{"127.0.0.1:1", "127.0.0.1:2"}, Stderr: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if got, want := p.Summary(), "0 cells in 3 workers, 0 in-process, 0 crashes, 0 steals"; got != want {
+		t.Errorf("Summary = %q, want %q", got, want)
+	}
 }
 
 // TestBrokenWorkerBinaryFallsBack: when the worker command cannot be

@@ -90,14 +90,6 @@ type Stats struct {
 	Steals int
 }
 
-// Summary renders the one-line operational summary the CLIs print on
-// stderr after a distributed sweep; the CI dist-smoke gate greps this
-// exact phrasing to prove cells really distributed.
-func (s Stats) Summary(workers int) string {
-	return fmt.Sprintf("%d cells in %d workers, %d in-process, %d crashes, %d steals",
-		s.Remote, workers, s.Local, s.Crashes, s.Steals)
-}
-
 // Pool shards engine sweeps across a pool of worker slots — local
 // child processes (Workers) and/or remote serve-workers (Remote): the
 // out-of-process counterpart of the engine's in-process Budget
@@ -204,6 +196,17 @@ func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
+}
+
+// Summary renders the one-line operational summary the CLIs print on
+// stderr after a distributed sweep, counting the pool's own slots
+// (local workers plus remote endpoints). The smoke tests in
+// internal/smoke match this exact phrasing to prove cells really
+// distributed.
+func (p *Pool) Summary() string {
+	s := p.Stats()
+	return fmt.Sprintf("%d cells in %d workers, %d in-process, %d crashes, %d steals",
+		s.Remote, len(p.slots), s.Local, s.Crashes, s.Steals)
 }
 
 // Close kills and reaps every child. The pool's counters remain

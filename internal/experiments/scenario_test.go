@@ -8,7 +8,7 @@ import (
 )
 
 // loadT2Mirror compiles the shipped example scenario that mirrors the
-// compiled-in T2 sweep — the same file `make scenario-smoke` runs.
+// compiled-in T2 sweep — the same file TestSmokeScenario runs.
 func loadT2Mirror(t *testing.T) *scenario.Scenario {
 	t.Helper()
 	s, err := scenario.Load("../../examples/scenarios/t2-mirror.toml")

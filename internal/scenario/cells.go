@@ -154,8 +154,7 @@ func PlacementTail(reqs []workload.Request, pol alloc.Policy, mode alloc.Mode, h
 }
 
 // placementRequests materializes one placement workload's request
-// stream through the cell's catalog, under the stock keys `dsatrace
-// warm -scenario` pre-populates.
+// stream through the cell's catalog, under the stock keys.
 func (s *Scenario) placementRequests(cat *catalog.Catalog, w PlacementWorkload, baseSeed uint64) ([]workload.Request, error) {
 	sd := seeded(baseSeed, s.Seed)
 	if w.Family == "adversarial" {
@@ -227,7 +226,7 @@ func ReplacePolicy(name string, pageStr []replace.PageID, rngSeed uint64) (repla
 // reference string through the catalog: the derived string is
 // cataloged under its own key (page size included — a generation
 // determinant), and its generation pulls the underlying trace through
-// the stock keys, so one warm covers both.
+// the stock keys, so a disk-backed store replays both.
 func (s *Scenario) pageString(cat *catalog.Catalog, w TraceWorkload, baseSeed uint64) ([]replace.PageID, error) {
 	sd := seeded(baseSeed, s.Seed)
 	key := fmt.Sprintf("dsasim/page-string/%s/extent=%d/refs=%d/psize=%d@%x",
@@ -331,54 +330,6 @@ func (s *Scenario) runOnMachine(cat *catalog.Catalog, m *machine.Machine, w Trac
 		return nil, err
 	}
 	return m.RunLinear(tr)
-}
-
-// --- warm ------------------------------------------------------------
-
-// Warm pre-materializes every workload key the scenario's cells will
-// request into cat — the `dsatrace warm -scenario` contract: with a
-// disk-backed store, the very first (possibly distributed) run of the
-// scenario against the same cache directory regenerates nothing. It
-// returns the number of distinct keys requested.
-func (s *Scenario) Warm(cat *catalog.Catalog, baseSeed uint64) (int, error) {
-	before := cat.Len()
-	switch s.Kind {
-	case KindPlacement:
-		for _, w := range s.Placement.Workloads {
-			if _, err := s.placementRequests(cat, w, baseSeed); err != nil {
-				return cat.Len() - before, err
-			}
-		}
-	case KindReplacement:
-		for _, w := range s.Replacement.Workloads {
-			if _, err := s.pageString(cat, w, baseSeed); err != nil {
-				return cat.Len() - before, err
-			}
-		}
-	case KindMachines:
-		for _, name := range s.Machines.Names {
-			m, err := machineCtors[name](s.Machines.Scale)
-			if err != nil {
-				return cat.Len() - before, err
-			}
-			for _, w := range s.Machines.Workloads {
-				if _, err := s.runMachineWorkloadOnly(cat, m, w, baseSeed); err != nil {
-					return cat.Len() - before, err
-				}
-			}
-		}
-	}
-	return cat.Len() - before, nil
-}
-
-// runMachineWorkloadOnly materializes one machine workload without
-// running the machine — the warm path's half of runOnMachine.
-func (s *Scenario) runMachineWorkloadOnly(cat *catalog.Catalog, m *machine.Machine, w TraceWorkload, baseSeed uint64) (interface{}, error) {
-	sd := seeded(baseSeed, s.Seed)
-	if w.Family == "segments" {
-		return stock.Segments(cat, s.Machines.Segs, w.Refs, sd)
-	}
-	return stock.Linear(cat, w.Family, stock.Extent(m), w.Refs, sd)
 }
 
 // --- the dist handler ------------------------------------------------

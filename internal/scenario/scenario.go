@@ -6,12 +6,13 @@
 // A scenario file names what to sweep; this package lowers it to
 // []Cell, each cell an independent engine job keyed "<name>/<axes>".
 // The cells materialize their workloads through internal/workload/stock
-// (the same catalog keys `dsatrace warm` pre-populates), seed exactly
-// like the experiments runner (a base seed of 0 keeps the file's fixed
-// seed; any other re-derives it through sim.SeedFor), and carry an
-// engine.Spec under the "scenario/cell" dist task, so a declarative
-// sweep distributes across -workers/-remote pools unchanged: the file's
-// source travels in the spec, and the worker compiles it on first use.
+// (the catalog keys `dsasim -machine all` uses, so a shared -cache-dir
+// replays them), seed exactly like the experiments runner (a base seed
+// of 0 keeps the file's fixed seed; any other re-derives it through
+// sim.SeedFor), and carry an engine.Spec under the "scenario/cell"
+// dist task, so a declarative sweep distributes across -workers/-remote
+// pools unchanged: the file's source travels in the spec, and the
+// worker compiles it on first use.
 //
 // The registered wire id is "scenario/<name>@<content-hash>" — two
 // scenarios with the same name but different bytes can never alias.
@@ -112,7 +113,7 @@ type MachinesSpec struct {
 // TraceWorkload is one reference-trace row group. Extent is required
 // for replacement scenarios and forbidden for machine scenarios (each
 // machine derives its own extent, exactly as `dsasim -machine all`
-// does — which is what lets `dsatrace warm` cover the keys).
+// does, so the two share catalog keys).
 type TraceWorkload struct {
 	Family string
 	Extent uint64

@@ -313,30 +313,6 @@ func TestCellsDeterministic(t *testing.T) {
 	}
 }
 
-// TestWarmCoversCells: after Warm, running every cell against the same
-// store regenerates nothing — the `dsatrace warm -scenario` contract.
-func TestWarmCoversCells(t *testing.T) {
-	for _, src := range []string{placementSrc, adversarialSrc, replacementSrc, machinesSrc} {
-		s, err := Parse(src, "w.toml")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cat := catalog.New()
-		n, err := s.Warm(cat, 0)
-		if err != nil {
-			t.Fatalf("%s: warm: %v", s.Name, err)
-		}
-		if n < 1 {
-			t.Fatalf("%s: warmed %d keys", s.Name, n)
-		}
-		before := cat.Stats().Generations
-		runCells(t, s, 0, cat)
-		if after := cat.Stats().Generations; after != before {
-			t.Errorf("%s: cells regenerated %d workloads after warm (want 0)", s.Name, after-before)
-		}
-	}
-}
-
 // TestCompileRemoteVerifiesHash: a worker rejects wire source whose
 // content hash does not match the advertised id.
 func TestCompileRemoteVerifiesHash(t *testing.T) {

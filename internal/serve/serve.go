@@ -524,7 +524,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsResponse is the daemon's observable state: job counters plus
-// the store's traffic — the serve-smoke diffs it before and after a
+// the store's traffic — TestSmokeServe diffs it before and after a
 // fetch-by-key to prove the fetch regenerated nothing.
 type statsResponse struct {
 	Submitted  int      `json:"submitted"`

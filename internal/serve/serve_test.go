@@ -310,7 +310,7 @@ func TestPanickingSweepContainedConcurrentTenantUnaffected(t *testing.T) {
 	}
 }
 
-// TestServeLoadNoGoroutineLeak is the load smoke's in-process half:
+// TestServeLoadNoGoroutineLeak is the in-process half of TestSmokeLoad:
 // a burst of concurrent submissions against a small cell budget must
 // produce only 2xx/429 responses, and shutting the server down must
 // return the process to its baseline goroutine count — the goleak

@@ -361,18 +361,6 @@ func (c *Catalog) Keys() []string {
 	return keys
 }
 
-// Len reports the number of distinct keys requested so far in the
-// owning store.
-func (c *Catalog) Len() int {
-	if c == nil {
-		return 0
-	}
-	r := c.root()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.entries)
-}
-
 // stderrLog is the default disk-layer diagnostic sink.
 func stderrLog(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "catalog: "+format+"\n", args...)

@@ -144,9 +144,14 @@ func readEntry(r io.Reader, key string, c *codec) (interface{}, error) {
 	if n > maxDiskEntry {
 		return nil, fmt.Errorf("has absurd %d-byte header", n)
 	}
-	hdrBytes := make([]byte, n)
-	if _, err := io.ReadFull(r, hdrBytes); err != nil {
-		return nil, fmt.Errorf("truncated in header (%v)", err)
+	// Read what arrives rather than allocating the claimed length up
+	// front: a short file that claims a huge header costs its own size.
+	hdrBytes, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
+		return nil, fmt.Errorf("unreadable header (%v)", err)
+	}
+	if len(hdrBytes) < int(n) {
+		return nil, fmt.Errorf("truncated in header (%d of %d bytes)", len(hdrBytes), n)
 	}
 	var hdr diskHeader
 	if err := gob.NewDecoder(bytes.NewReader(hdrBytes)).Decode(&hdr); err != nil {

@@ -309,8 +309,8 @@ func TestGetOnceNeverPins(t *testing.T) {
 	if v, err := GetOnce(st, "once@1", gen); err != nil || len(v) != 3 {
 		t.Fatalf("cold GetOnce = %v, %v", v, err)
 	}
-	if st.Len() != 0 {
-		t.Errorf("GetOnce pinned %d entries in memory, want 0", st.Len())
+	if len(st.Keys()) != 0 {
+		t.Errorf("GetOnce pinned %d entries in memory, want 0", len(st.Keys()))
 	}
 	if s := st.Stats(); s.Generations != 1 || s.DiskWrites != 1 {
 		t.Errorf("cold stats = %+v, want 1 generation + 1 disk write", s)
@@ -321,8 +321,8 @@ func TestGetOnceNeverPins(t *testing.T) {
 	if gens.Load() != 1 {
 		t.Errorf("generator ran %d times; the warm call should have read disk", gens.Load())
 	}
-	if s := st.Stats(); s.DiskHits != 1 || st.Len() != 0 {
-		t.Errorf("warm stats = %+v (len %d), want a disk hit and still no pin", s, st.Len())
+	if s := st.Stats(); s.DiskHits != 1 || len(st.Keys()) != 0 {
+		t.Errorf("warm stats = %+v (len %d), want a disk hit and still no pin", s, len(st.Keys()))
 	}
 
 	// A child scope charges its own stats and still does not pin.
@@ -345,7 +345,7 @@ func TestGetOnceNeverPins(t *testing.T) {
 		if n.Load() != 2 {
 			t.Errorf("%s: generator ran %d times, want 2 (no caching anywhere)", name, n.Load())
 		}
-		if c.Len() != 0 {
+		if len(c.Keys()) != 0 {
 			t.Errorf("%s: GetOnce pinned entries", name)
 		}
 	}
@@ -380,7 +380,7 @@ func TestChildScopesShareRootStore(t *testing.T) {
 	if r.Generations != 1 || r.Hits != 1 {
 		t.Errorf("root stats = %+v, want battery totals", r)
 	}
-	if n := root.Len(); n != 1 {
+	if n := len(root.Keys()); n != 1 {
 		t.Errorf("root holds %d keys, want 1", n)
 	}
 

@@ -1,10 +1,10 @@
 // Package stock names and materializes the stock workloads the CLIs
 // run against the appendix machines: each workload kind is stored in
 // the workload catalog under a parameter-complete key, so any two
-// processes (a dsasim sweep, its worker children, a `dsatrace warm`
-// pass) that agree on the parameters share one materialization —
-// in memory within a process, and across processes and runs through a
-// -cache-dir disk layer.
+// processes (a dsasim sweep, its worker children, a declarative
+// machines scenario) that agree on the parameters share one
+// materialization — in memory within a process, and across processes
+// and runs through a -cache-dir disk layer.
 //
 // The keys embed every generation determinant — kind, extent or cap,
 // counts, and the seed for the stochastic kinds — so two machines
@@ -156,39 +156,4 @@ func capTrace(tr trace.Trace, limit uint64) trace.Trace {
 		}
 	}
 	return out
-}
-
-// WarmMachines materializes every workload key the dsasim machine
-// sweep (`dsasim -machine all -workload kind`) will request into cat:
-// the one machine-independent segmented workload, or one linear trace
-// per distinct machine extent (machines with equal extents share one
-// key, exactly as the sweep itself does). With a disk-backed store
-// this pre-populates the cache directory, so the very first battery
-// run against it regenerates nothing. It returns the number of
-// distinct keys requested.
-func WarmMachines(cat *catalog.Catalog, kind string, refs, segs int, seed uint64, scale int) (int, error) {
-	if kind == "segments" {
-		_, err := Segments(cat, segs, refs, seed)
-		return 1, err
-	}
-	machines, err := machine.All(scale)
-	if err != nil {
-		return 0, err
-	}
-	seen := make(map[string]bool)
-	for _, m := range machines {
-		ext := Extent(m)
-		key := linearKey(kind, ext, refs, seed)
-		if key == "" {
-			return len(seen), fmt.Errorf("unknown workload %q", kind)
-		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if _, err := Linear(cat, kind, ext, refs, seed); err != nil {
-			return len(seen), err
-		}
-	}
-	return len(seen), nil
 }

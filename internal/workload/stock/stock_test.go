@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"dsa/internal/machine"
 	"dsa/internal/workload"
 	"dsa/internal/workload/catalog"
 )
@@ -57,47 +56,5 @@ func TestKeysAreStable(t *testing.T) {
 	if _, err := Linear(cat, "no-such-kind", 0, 0, 0); err == nil ||
 		!strings.Contains(err.Error(), "unknown workload") {
 		t.Errorf("unknown kind error = %v", err)
-	}
-}
-
-// TestWarmMachinesCoversTheSweep: a warmed store must serve every
-// workload request a `dsasim -machine all` sweep will make without a
-// single further generation — the dsatrace warm contract.
-func TestWarmMachinesCoversTheSweep(t *testing.T) {
-	for _, kind := range []string{"segments", "workingset", "phased", "loop"} {
-		warm := catalog.New()
-		n, err := WarmMachines(warm, kind, 20000, 32, 1, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if n < 1 {
-			t.Fatalf("%s: warmed %d keys", kind, n)
-		}
-		before := warm.Stats()
-
-		// Replay the sweep's requests against the warmed store.
-		machines, err := machine.All(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range machines {
-			if kind == "segments" {
-				_, err = Segments(warm, 32, 20000, 1)
-			} else {
-				_, err = Linear(warm, kind, Extent(m), 20000, 1)
-			}
-			if err != nil {
-				t.Fatalf("%s/%s: %v", kind, m.Name, err)
-			}
-		}
-		after := warm.Stats()
-		if after.Generations != before.Generations {
-			t.Errorf("%s: sweep regenerated %d workloads after warm (want 0)",
-				kind, after.Generations-before.Generations)
-		}
-		if after.Hits != before.Hits+len(machines) {
-			t.Errorf("%s: hits = %d, want %d (every machine served from the warmed store)",
-				kind, after.Hits-before.Hits, len(machines))
-		}
 	}
 }
