@@ -29,10 +29,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Includes internal/smoke, which builds dsafig, dsasim and dsatrace and
-# checks their multi-process, cached, remote and served output against
-# the serial CLI byte for byte, with the toolchain that runs the tests;
-# an edit to their sources reruns it. `go test -short` skips it.
+# Includes internal/smoke, which builds dsafig, dsasim and dsatrace
+# with -race and checks their multi-process, cached, remote and served
+# output against the serial CLI byte for byte, with the toolchain that
+# runs the tests; an edit to their sources reruns it. `go test -short`
+# skips it.
 race:
 	$(GO) test -race ./...
 

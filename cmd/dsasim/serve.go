@@ -33,7 +33,7 @@ func cmdServe(args []string) {
 	tenantCells := fs.Int("tenant-cells", 0, "per-tenant concurrent cell cap (0 = no cap below -parallel)")
 	tenantJobs := fs.Int("tenant-jobs", 4, "per-tenant open-job cap before submissions get 429 + Retry-After")
 	drain := fs.Duration("drain", 10*time.Second, "shutdown grace: in-flight streams get this long before jobs are cancelled")
-	_ = fs.Parse(args)
+	cliflags.Parse("dsasim", fs, args)
 
 	store := cliflags.Store("dsasim", *cacheDir)
 	// Without -cache-dir the manifest lives in memory only: Retry-After

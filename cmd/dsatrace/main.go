@@ -71,7 +71,7 @@ func main() {
 	case "batch":
 		cmdBatch(os.Args[2:])
 	case "stat":
-		cmdStat()
+		cmdStat(os.Args[2:])
 	case "advise":
 		cmdAdvise(os.Args[2:])
 	case "worker":
@@ -206,7 +206,7 @@ func cmdGen(args []string) {
 	kind := fs.String("kind", "workingset", "workingset|sequential|random|loop|matrix")
 	seed := fs.Uint64("seed", 1, "random seed")
 	g := specFlags(fs)
-	_ = fs.Parse(args)
+	cliflags.Parse("dsatrace", fs, args)
 
 	tr, err := genTrace(*kind, *seed, *g)
 	if err != nil {
@@ -339,7 +339,7 @@ func cmdBatch(args []string) {
 	)
 	sw := cliflags.Register(fs, "dsatrace", 1)
 	g := specFlags(fs)
-	_ = fs.Parse(args)
+	cliflags.Parse("dsatrace", fs, args)
 	stopProfiles, err := sw.StartProfiles()
 	if err != nil {
 		fail(err)
@@ -422,7 +422,8 @@ func cmdBatch(args []string) {
 	}
 }
 
-func cmdStat() {
+func cmdStat(args []string) {
+	cliflags.Parse("dsatrace", flag.NewFlagSet("stat", flag.ExitOnError), args)
 	tr, err := trace.Decode(os.Stdin)
 	if err != nil {
 		fail(err)
@@ -445,7 +446,7 @@ func cmdAdvise(args []string) {
 		phase = fs.Int("phase", 2500, "references per phase")
 		span  = fs.Uint64("span", 2048, "advised span in words")
 	)
-	_ = fs.Parse(args)
+	cliflags.Parse("dsatrace", fs, args)
 	tr, err := trace.Decode(os.Stdin)
 	if err != nil {
 		fail(err)

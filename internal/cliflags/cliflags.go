@@ -204,6 +204,18 @@ func Store(prog, cacheDir string) *catalog.Catalog {
 	}})
 }
 
+// Parse parses a subcommand's flags and rejects any positional
+// argument left after them, printing the usage and exiting 2 as a bad
+// flag does, so a mistyped value never passes silently.
+func Parse(prog string, fs *flag.FlagSet, args []string) {
+	_ = fs.Parse(args) // fs exits on a bad flag
+	if fs.NArg() > 0 {
+		fmt.Fprintf(fs.Output(), "%s %s: unexpected argument %q\n", prog, fs.Name(), fs.Arg(0))
+		fs.Usage()
+		os.Exit(2)
+	}
+}
+
 // RunWorker is the shared body of the hidden `<cmd> worker`
 // subcommand: parse the worker flags and serve cell batches over the
 // stdio protocol until the dispatcher closes stdin. The caller
@@ -211,7 +223,7 @@ func Store(prog, cacheDir string) *catalog.Catalog {
 func RunWorker(prog string, args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	cacheDir := fs.String("cache-dir", "", "disk-backed workload cache directory shared with the dispatcher")
-	_ = fs.Parse(args)
+	Parse(prog, fs, args)
 	return dist.ServeWorker(os.Stdin, os.Stdout, dist.WorkerOptions{Catalog: Store(prog, *cacheDir)})
 }
 
@@ -224,7 +236,7 @@ func RunServeWorker(prog string, args []string) error {
 	cacheDir := fs.String("cache-dir", "", "disk-backed workload cache directory this worker warms by content-addressed key")
 	authToken := fs.String("auth-token", os.Getenv("DSA_WORKER_TOKEN"), "shared secret dialers must present (default $DSA_WORKER_TOKEN; empty accepts any)")
 	addrFile := fs.String("addr-file", "", "write the bound host:port to this file (atomically) once listening")
-	_ = fs.Parse(args)
+	Parse(prog, fs, args)
 	o := dist.ServeOptions{AuthToken: *authToken}
 	o.Catalog = Store(prog, *cacheDir)
 	return dist.ListenAndServe(*listen, *addrFile, o)

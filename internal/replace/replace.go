@@ -35,6 +35,8 @@
 //   - paging.SegPager packs (segment, page) into a 64-bit key that is
 //     far from dense, so it assigns each page a dense id on first
 //     residency and translates victims back.
+//   - KeyedLRU gives each resident key a dense id and reuses the ids
+//     of evicted keys.
 //
 // No policy compares ids except MIN, whose tie-break prefers the lower
 // id; PageString's renaming preserves id order, so renaming pages

@@ -12,6 +12,13 @@
 // hand-off between starved tenants — alongside 429 back-pressure fed
 // by the cost manifest, and per-job panic/cancellation containment so
 // one tenant's poisoned sweep never wedges anyone else's bytes.
+//
+// A daemon's memory is bounded by constants, not by the number of
+// seeds and jobs it has seen: the workload store evicts by its byte
+// budget (see internal/workload/catalog), completed results are
+// evicted by their own, and only the newest finished jobs are kept.
+// Eviction never changes a byte a client receives: an evicted workload
+// or result is recomputed on its next request, identically.
 package serve
 
 import (
@@ -30,6 +37,7 @@ import (
 	"dsa/internal/engine/battery"
 	"dsa/internal/experiments"
 	"dsa/internal/metrics"
+	"dsa/internal/replace"
 	"dsa/internal/scenario"
 	"dsa/internal/workload/catalog"
 )
@@ -37,6 +45,17 @@ import (
 // DefaultTenant is the tenant jobs run under when a request carries no
 // X-Tenant header.
 const DefaultTenant = "default"
+
+// The daemon's own state is bounded like its workload store: it keeps
+// at most maxJobs jobs, dropping the oldest finished ones (a running
+// job is never dropped), and at most resultBudget bytes of completed
+// results, evicting the least recently submitted or fetched. A dropped
+// job's id answers 404; an evicted result's repeat submission simply
+// runs again, to the same bytes.
+const (
+	maxJobs      = 1024
+	resultBudget = 8 << 20
+)
 
 // Run is one admitted sweep job as the runner sees it: the resolved
 // experiment names (scenario uploads already registered and
@@ -58,7 +77,9 @@ type Runner func(ctx context.Context, run Run, emit func(chunk []byte)) error
 // Options configures a Server.
 type Options struct {
 	// Store is the daemon-lifetime workload store every job's sweeps
-	// child into (nil: a fresh in-memory store).
+	// child into (nil: a fresh in-memory store). Its memory budget
+	// bounds the workloads it keeps resident; workloads of seeds not
+	// used lately are evicted and regenerate on their next request.
 	Store *catalog.Catalog
 	// Costs is the daemon-lifetime sweep-cost manifest: jobs record
 	// observed sweep times into it, and admission uses it to estimate
@@ -96,12 +117,13 @@ type Server struct {
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 
-	mu      sync.Mutex
-	jobs    map[string]*job
-	order   []string // job ids in submission order, for /sweeps listing
-	open    map[string]int
-	results map[string][]byte
-	seq     int
+	mu        sync.Mutex
+	jobs      map[string]*job
+	order     []string // job ids in submission order, for /sweeps listing
+	open      map[string]int
+	results   map[string][]byte
+	resultLRU *replace.KeyedLRU[string] // charges results against resultBudget
+	seq       int
 
 	submitted, completed, failed, cachedHits, rejected int
 
@@ -142,6 +164,8 @@ func New(o Options) *Server {
 		open:    make(map[string]int),
 		results: make(map[string][]byte),
 		mux:     http.NewServeMux(),
+
+		resultLRU: replace.NewKeyedLRU[string](resultBudget),
 	}
 	if s.store == nil {
 		s.store = catalog.New()
@@ -263,6 +287,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j := s.newJobLocked(key, tenant, names, req.Seed)
 		j.buf = cached
 		j.done = true
+		s.resultLRU.Touch(key)
 		s.cachedHits++
 		s.submitted++
 		s.mu.Unlock()
@@ -303,7 +328,29 @@ func (s *Server) newJobLocked(key, tenant string, names []string, seed uint64) *
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
+	s.pruneJobsLocked()
 	return j
+}
+
+// pruneJobsLocked drops the oldest finished jobs beyond maxJobs,
+// releasing their contexts; running jobs stay whatever their age.
+// s.mu must be held.
+func (s *Server) pruneJobsLocked() {
+	excess := len(s.order) - maxJobs
+	if excess <= 0 {
+		return
+	}
+	kept := s.order[:0]
+	for _, id := range s.order {
+		if j := s.jobs[id]; excess > 0 && j.finished() {
+			j.cancel()
+			delete(s.jobs, id)
+			excess--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	s.order = kept
 }
 
 // runJob executes one job with panic containment: a runner that dies
@@ -351,6 +398,7 @@ func (s *Server) finish(j *job, err error) {
 	}
 	if err == nil {
 		s.results[j.key] = buf
+		s.resultLRU.Charge(j.key, int64(cap(buf)), func(key string) { delete(s.results, key) })
 		s.completed++
 	} else {
 		s.failed++
@@ -371,6 +419,13 @@ func (j *job) append(chunk []byte) {
 	j.buf = append(j.buf, chunk...)
 	close(j.updated)
 	j.updated = make(chan struct{})
+}
+
+// finished reports whether the job has reached its terminal state.
+func (j *job) finished() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.done
 }
 
 func (s *Server) jobByID(id string) *job {
@@ -512,8 +567,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
+	key := r.PathValue("key")
 	s.mu.Lock()
-	b, ok := s.results[r.PathValue("key")]
+	b, ok := s.results[key]
+	if ok {
+		s.resultLRU.Touch(key)
+	}
 	s.mu.Unlock()
 	if !ok {
 		httpError(w, http.StatusNotFound, "no result under that key")
@@ -572,10 +631,7 @@ func (s *Server) retryAfterLocked(tenant string) int {
 		if j == nil || j.tenant != tenant {
 			continue
 		}
-		j.mu.Lock()
-		done := j.done
-		j.mu.Unlock()
-		if done {
+		if j.finished() {
 			continue
 		}
 		for _, name := range j.names {

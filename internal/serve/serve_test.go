@@ -19,6 +19,7 @@ import (
 	"dsa/internal/engine/battery"
 	"dsa/internal/experiments"
 	"dsa/internal/metrics"
+	"dsa/internal/replace"
 	"dsa/internal/workload/catalog"
 )
 
@@ -371,5 +372,101 @@ func TestServeLoadNoGoroutineLeak(t *testing.T) {
 				before, runtime.NumGoroutine(), buf)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestJobsAndResultsBounded: the daemon keeps at most maxJobs jobs,
+// dropping the oldest finished ones (their ids answer 404) but never a
+// running one, and evicts least recently used results beyond its
+// result budget. A fetch by key of a kept result and a repeat of an
+// evicted one both return the original bytes; the repeat runs again.
+func TestJobsAndResultsBounded(t *testing.T) {
+	block := make(chan struct{})
+	var runs atomic.Int32
+	s := New(Options{Runner: func(ctx context.Context, run Run, emit func([]byte)) error {
+		runs.Add(1)
+		if run.Seed == 999 {
+			select {
+			case <-block:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		emit([]byte(fmt.Sprintf("seed %d %s\n", run.Seed, strings.Repeat("x", 100))))
+		return nil
+	}})
+	defer s.Close()
+	s.resultLRU = replace.NewKeyedLRU[string](300) // two results
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	sweep := func(seed int) (submitResponse, []byte) {
+		t.Helper()
+		code, sr := submit(t, ts, "", fmt.Sprintf(`{"experiments":["t0"],"seed":%d}`, seed))
+		if code != http.StatusOK && code != http.StatusAccepted {
+			t.Fatalf("submit seed %d: %d", seed, code)
+		}
+		return sr, streamBytes(t, ts, sr.ID)
+	}
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, b
+	}
+
+	code, running := submit(t, ts, "", `{"experiments":["t0"],"seed":999}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit the blocked job: %d", code)
+	}
+	first, firstBytes := sweep(1)
+	second, secondBytes := sweep(2)
+	sweep(3) // evicts seed 1's result, the least recently used
+	if code, _ := get("/results/" + first.Key); code != http.StatusNotFound {
+		t.Errorf("evicted result: GET /results = %d, want 404", code)
+	}
+	if code, b := get("/results/" + second.Key); code != http.StatusOK || !bytes.Equal(b, secondBytes) {
+		t.Errorf("kept result: GET /results = %d %q, want 200 %q", code, b, secondBytes)
+	}
+	before := runs.Load()
+	again, againBytes := sweep(1)
+	if again.Cached || runs.Load() != before+1 || !bytes.Equal(againBytes, firstBytes) {
+		t.Errorf("repeat of an evicted result: cached %v, %d runs, bytes %q; want a rerun to %q",
+			again.Cached, runs.Load()-before, againBytes, firstBytes)
+	}
+	if code, b := get("/results/" + first.Key); code != http.StatusOK || !bytes.Equal(b, firstBytes) {
+		t.Errorf("rerun result: GET /results = %d %q, want 200 %q", code, b, firstBytes)
+	}
+
+	// Cached repeats finish at once; enough of them push the oldest
+	// finished jobs out of the table.
+	var last submitResponse
+	for i := 0; i < maxJobs; i++ {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/sweeps", strings.NewReader(`{"experiments":["t0"],"seed":1}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("cached repeat %d: %d", i, rec.Code)
+		}
+		json.NewDecoder(rec.Body).Decode(&last)
+	}
+	if code, _ := get("/sweeps/" + first.ID); code != http.StatusNotFound {
+		t.Errorf("oldest finished job: GET /sweeps/%s = %d, want 404", first.ID, code)
+	}
+	if code, b := get("/sweeps/" + last.ID + "/stream"); code != http.StatusOK || !bytes.Equal(b, firstBytes) {
+		t.Errorf("newest job: stream = %d %q, want 200 %q", code, b, firstBytes)
+	}
+	var list []statusResponse
+	if code, b := get("/sweeps"); code != http.StatusOK || json.Unmarshal(b, &list) != nil || len(list) != maxJobs {
+		t.Errorf("GET /sweeps lists %d jobs, want %d", len(list), maxJobs)
+	}
+	if code, _ := get("/sweeps/" + running.ID); code != http.StatusOK {
+		t.Fatalf("running job: GET /sweeps/%s = %d, want 200 (running jobs are never dropped)", running.ID, code)
+	}
+	close(block)
+	if b := streamBytes(t, ts, running.ID); !strings.HasPrefix(string(b), "seed 999 ") {
+		t.Errorf("the long-running job streamed %q", b)
 	}
 }

@@ -6,8 +6,8 @@
 //
 // Each test builds nothing itself: TestMain builds the three commands
 // once into a temporary directory, with the toolchain that built the
-// test binary. Under -short every test skips and nothing is built. Run
-// them alone with
+// test binary, and with -race when the tests run under -race. Under
+// -short every test skips and nothing is built. Run them alone with
 //
 //	go test -run Smoke ./internal/smoke
 //
@@ -70,8 +70,9 @@ func TestMain(m *testing.M) {
 }
 
 // build compiles the commands into dir with the go command of the
-// toolchain running the tests, checks that they report that toolchain's
-// version, and records the directories they are built from.
+// toolchain running the tests (under -race, with -race), checks that
+// they report that toolchain's version, and records the directories
+// they are built from.
 func build(dir string) error {
 	goCmd := "go"
 	if root := runtime.GOROOT(); root != "" { // empty under -trimpath
@@ -81,7 +82,11 @@ func build(dir string) error {
 	for _, c := range commands {
 		pkgs = append(pkgs, "dsa/cmd/"+c)
 	}
-	if out, err := exec.Command(goCmd, append([]string{"build", "-o", dir}, pkgs...)...).CombinedOutput(); err != nil {
+	args := []string{"build", "-o", dir}
+	if raceEnabled {
+		args = append(args, "-race")
+	}
+	if out, err := exec.Command(goCmd, append(args, pkgs...)...).CombinedOutput(); err != nil {
 		return fmt.Errorf("building the commands: %v\n%s", err, out)
 	}
 	for _, c := range commands {
@@ -586,4 +591,18 @@ func TestSmokeRemovedEntryPoints(t *testing.T) {
 	skipShort(t)
 	contains(t, "dsasim given run", runFails(t, "dsasim", "run", "-scenario", mirror), "Usage")
 	contains(t, "dsatrace given warm", runFails(t, "dsatrace", "warm", "-cache-dir", t.TempDir()), "usage")
+}
+
+// TestSmokeStrayArguments: a positional argument after a subcommand's
+// flags is a usage error, not silently ignored.
+func TestSmokeStrayArguments(t *testing.T) {
+	skipShort(t)
+	traces := t.TempDir()
+	contains(t, "dsatrace batch given a stray argument",
+		runFails(t, "dsatrace", "batch", "-out", traces, "-kinds", "loop", "loop-typo"), `unexpected argument "loop-typo"`)
+	if files := readDir(t, traces); len(files) != 0 {
+		t.Errorf("the rejected batch wrote %d files", len(files))
+	}
+	contains(t, "dsasim serve given a stray argument",
+		runFails(t, "dsasim", "serve", "-listen", "127.0.0.1:0", "extra"), "Usage of serve")
 }

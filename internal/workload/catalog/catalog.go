@@ -1,7 +1,7 @@
 // Package catalog is the workload store behind the experiment engine:
 // a concurrency-safe, seed-keyed cache that materializes each named
-// workload exactly once and hands every engine cell an immutable
-// shared view of the result.
+// workload once while it is resident and hands every engine cell an
+// immutable shared view of the result.
 //
 // Before the catalog, every cell of a machine × workload × policy sweep
 // regenerated its reference string or request stream from scratch, so a
@@ -18,6 +18,33 @@
 // sweeps of an experiment battery share one store, while each child
 // keeps its own traffic counters. A sweep's Stats therefore report
 // that sweep's hits and misses even when the bytes live battery-wide.
+//
+// # Budget
+//
+// A root store holds at most memBudget (32 MiB) of materialized
+// workloads in memory. When an entry finishes materializing it is
+// charged its payload size — cap × element size for a slice value, at
+// least 64 bytes for anything — and least recently used finished
+// entries are evicted, through replace.KeyedLRU, until the charge is
+// back within the budget. A hit makes its entry the most recently
+// used. The entry just charged is never evicted, nor is one still in
+// flight; erroring and poisoned entries are not charged and stay
+// resident, so their errors and panics repeat as before. This is
+// Randell and Kuehner's replacement problem for non-uniform units —
+// variable-size workloads in a fixed amount of working storage — with
+// the recency strategy the experiments evaluate.
+//
+// Eviction only drops the store's reference. A value a running cell
+// already holds stays valid, and a later Get of an evicted key
+// regenerates the value byte-identically (or replays it from the disk
+// layer), because a key determines its value. What eviction does
+// change is sharing: a regenerated value is a new copy, and Generations
+// counts the regeneration. The budget holds the largest single run
+// measured (a full battery plus all three example scenarios, about
+// 19 MB) with headroom, so CLI runs never evict; it bounds the memory
+// of long-lived stores such as the serve daemon's, which would
+// otherwise keep every seed it has ever seen. Stats.Evictions counts
+// the evictions.
 //
 // # Keys
 //
@@ -67,21 +94,31 @@ package catalog
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"sort"
 	"sync"
+
+	"dsa/internal/replace"
 )
 
-// Catalog is a concurrency-safe, materialize-once workload store, or a
-// child scope of one (see Child). The zero value is not usable;
-// construct with New, NewStore, or Disabled (which turns every Get
-// into a plain regeneration for baseline comparisons).
+// memBudget is the bytes of materialized workloads a root store keeps
+// in memory (see the package doc's Budget section).
+const memBudget = 32 << 20
+
+// Catalog is a concurrency-safe, byte-budgeted workload store that
+// materializes each key once while it is resident, or a child scope of
+// one (see Child). The zero value is not usable; construct with New,
+// NewStore, or Disabled (which turns every Get into a plain
+// regeneration for baseline comparisons).
 type Catalog struct {
 	disabled bool
 	parent   *Catalog // nil at a root store
 	disk     *disk    // root only; nil without Options.Dir
 
 	mu      sync.Mutex
-	entries map[string]*entry // root only
+	entries map[string]*entry         // root only
+	budget  int64                     // root only: memBudget, or a test's
+	lru     *replace.KeyedLRU[*entry] // root only; created on the first charge
 	stats   Stats
 }
 
@@ -102,6 +139,7 @@ type Options struct {
 
 // entry is one materialized (or in-flight, or poisoned) workload.
 type entry struct {
+	key  string
 	done chan struct{} // closed when materialization finishes
 
 	// Written before done is closed, read only after.
@@ -129,6 +167,9 @@ type Stats struct {
 	DiskWrites int
 	// Poisoned is the number of entries whose generator panicked.
 	Poisoned int
+	// Evictions is the number of materialized entries dropped from
+	// memory to keep the store within its budget.
+	Evictions int
 }
 
 // Summary renders the one-line cache-effectiveness report the CLIs
@@ -138,6 +179,9 @@ func (s Stats) Summary() string {
 		s.Generations, s.Hits, s.DiskHits, s.DiskWrites)
 	if s.Poisoned > 0 {
 		out += fmt.Sprintf(", %d poisoned", s.Poisoned)
+	}
+	if s.Evictions > 0 {
+		out += fmt.Sprintf(", %d evicted", s.Evictions)
 	}
 	return out
 }
@@ -167,7 +211,7 @@ func New() *Catalog { return NewStore(Options{}) }
 // the store logs once and serves memory-only — the cache degrades, the
 // sweep never does.
 func NewStore(o Options) *Catalog {
-	c := &Catalog{entries: make(map[string]*entry)}
+	c := &Catalog{entries: make(map[string]*entry), budget: memBudget}
 	if o.Dir != "" {
 		c.disk = newDisk(o.Dir, o.Log)
 	}
@@ -219,9 +263,9 @@ func (c *Catalog) note(f func(*Stats)) {
 }
 
 // Get returns the value materialized under key, generating it with gen
-// exactly once no matter how many goroutines ask concurrently. If an
-// earlier (or concurrent) generation panicked, Get panics with the
-// recorded *PoisonedError. A nil or Disabled catalog degrades to calling
+// once while it is resident, no matter how many goroutines ask
+// concurrently. If an earlier (or concurrent) generation panicked, Get
+// panics with the recorded *PoisonedError. A nil or Disabled catalog degrades to calling
 // gen directly. A key reused at a different type yields an error rather
 // than a corrupt value.
 func Get[T any](c *Catalog, key string, gen func() (T, error)) (T, error) {
@@ -289,11 +333,14 @@ func (c *Catalog) get(key string, gen func() (interface{}, error), codec *codec)
 	r.mu.Lock()
 	e, ok := r.entries[key]
 	if ok {
+		if r.lru != nil {
+			r.lru.Touch(e) // an in-flight entry is not charged yet
+		}
 		r.mu.Unlock()
 		c.note(func(s *Stats) { s.Hits++ })
 		<-e.done
 	} else {
-		e = &entry{done: make(chan struct{})}
+		e = &entry{key: key, done: make(chan struct{})}
 		r.entries[key] = e
 		r.mu.Unlock()
 		r.materialize(c, key, e, gen, codec)
@@ -305,8 +352,8 @@ func (c *Catalog) get(key string, gen func() (interface{}, error), codec *codec)
 }
 
 // materialize fills one entry — from the disk layer when it has a
-// valid copy, by running the generator otherwise — then releases all
-// waiters. The done channel is closed on every path, so a panicking
+// valid copy, by running the generator otherwise — charges a
+// successful one to the budget, then releases all waiters. The done channel is closed on every path, so a panicking
 // generator can never wedge the sweep. r is the owning root; scope is
 // the catalog the request arrived on, charged with the stats.
 func (r *Catalog) materialize(scope *Catalog, key string, e *entry, gen func() (interface{}, error), codec *codec) {
@@ -321,16 +368,55 @@ func (r *Catalog) materialize(scope *Catalog, key string, e *entry, gen func() (
 		if v, ok := r.disk.load(key, codec); ok {
 			e.val = v
 			scope.note(func(s *Stats) { s.DiskHits++ })
+			r.charge(scope, e)
 			return
 		}
 	}
 	scope.note(func(s *Stats) { s.Generations++ })
 	e.val, e.err = gen()
-	if e.err == nil && r.disk != nil && codec != nil {
+	if e.err != nil {
+		return
+	}
+	if r.disk != nil && codec != nil {
 		if r.disk.save(key, e.val, codec) {
 			scope.note(func(s *Stats) { s.DiskWrites++ })
 		}
 	}
+	r.charge(scope, e)
+}
+
+// charge adds a finished entry to the root's budget and evicts least
+// recently used entries until the budget holds again. Eviction deletes
+// only the store's map entry, and only while it still names the
+// evicted entry; holders of the value keep it.
+func (r *Catalog) charge(scope *Catalog, e *entry) {
+	evicted := 0
+	r.mu.Lock()
+	if r.lru == nil {
+		r.lru = replace.NewKeyedLRU[*entry](r.budget)
+	}
+	r.lru.Charge(e, size(e.val), func(old *entry) {
+		if r.entries[old.key] == old {
+			delete(r.entries, old.key)
+		}
+		evicted++
+	})
+	r.mu.Unlock()
+	if evicted > 0 {
+		scope.note(func(s *Stats) { s.Evictions += evicted })
+	}
+}
+
+// size is the bytes a materialized value is charged: capacity times
+// element size for a slice (the workloads are traces, request streams
+// and page strings), and at least 64 bytes for anything.
+func size(v interface{}) int64 {
+	const floor = 64
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Slice {
+		return floor
+	}
+	return max(floor, int64(rv.Cap())*int64(rv.Type().Elem().Size()))
 }
 
 // Stats returns a snapshot of the catalog's traffic counters (this
@@ -344,8 +430,8 @@ func (c *Catalog) Stats() Stats {
 	return c.stats
 }
 
-// Keys returns the sorted keys materialized (or in flight, or poisoned)
-// so far in the owning store.
+// Keys returns the sorted keys currently resident in the owning store:
+// materialized and not evicted, in flight, or poisoned.
 func (c *Catalog) Keys() []string {
 	if c == nil {
 		return nil
