@@ -52,20 +52,25 @@ func BenchmarkExperiment(b *testing.B) {
 // --- substrate micro-benchmarks ---
 
 // BenchmarkHeapAllocFree measures boundary-tag heap throughput per
-// placement policy.
+// placement policy. The rice-chain case defers coalescing in a heap
+// small enough to fill, so failed requests trigger the merges and the
+// free list holds about 300 blocks.
 func BenchmarkHeapAllocFree(b *testing.B) {
 	policies := []struct {
-		name string
-		mk   func() alloc.Policy
+		name  string
+		mk    func() alloc.Policy
+		mode  alloc.Mode
+		words int
 	}{
-		{"first-fit", func() alloc.Policy { return alloc.FirstFit{} }},
-		{"best-fit", func() alloc.Policy { return alloc.BestFit{} }},
-		{"next-fit", func() alloc.Policy { return &alloc.NextFit{} }},
-		{"two-ended", func() alloc.Policy { return alloc.TwoEnded{Threshold: 256} }},
+		{"first-fit", func() alloc.Policy { return alloc.FirstFit{} }, alloc.CoalesceImmediate, 1 << 20},
+		{"best-fit", func() alloc.Policy { return alloc.BestFit{} }, alloc.CoalesceImmediate, 1 << 20},
+		{"next-fit", func() alloc.Policy { return &alloc.NextFit{} }, alloc.CoalesceImmediate, 1 << 20},
+		{"two-ended", func() alloc.Policy { return alloc.TwoEnded{Threshold: 256} }, alloc.CoalesceImmediate, 1 << 20},
+		{"rice-chain", func() alloc.Policy { return alloc.RiceChain{} }, alloc.CoalesceDeferred, 1 << 17},
 	}
 	for _, pc := range policies {
 		b.Run(pc.name, func(b *testing.B) {
-			h := alloc.New(1<<20, pc.mk(), alloc.CoalesceImmediate)
+			h := alloc.New(pc.words, pc.mk(), pc.mode)
 			rng := sim.NewRNG(1)
 			live := make([]int, 0, 1024)
 			b.ResetTimer()

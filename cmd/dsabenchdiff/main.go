@@ -189,6 +189,9 @@ func cmdParse(args []string) {
 	fs := flag.NewFlagSet("parse", flag.ExitOnError)
 	out := fs.String("o", "", "write JSON here instead of stdout")
 	_ = fs.Parse(args)
+	if fs.NArg() > 1 {
+		usage()
+	}
 	in := io.Reader(os.Stdin)
 	if fs.NArg() > 0 {
 		f, err := os.Open(fs.Arg(0))

@@ -1,6 +1,11 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -160,5 +165,44 @@ func TestHostLine(t *testing.T) {
 		if !strings.HasPrefix(got, tc.wantPrefix) || !strings.Contains(got, tc.wantIn) {
 			t.Errorf("%s: line = %q, want prefix %q containing %q", tc.name, got, tc.wantPrefix, tc.wantIn)
 		}
+	}
+}
+
+// TestCommandHelper runs main on the arguments after "--" when this
+// test binary is re-executed as the dsabenchdiff command; in a normal
+// test run there are none and it does nothing.
+func TestCommandHelper(t *testing.T) {
+	if flag.NArg() == 0 {
+		t.Skip("only runs as a re-executed command")
+	}
+	os.Args = append([]string{"dsabenchdiff"}, flag.Args()...)
+	main()
+	os.Exit(0)
+}
+
+// TestParseRejectsExtraFiles checks that parse given two input files
+// exits with the usage status and writes nothing, instead of parsing
+// the first and silently dropping the second.
+func TestParseRejectsExtraFiles(t *testing.T) {
+	dir := t.TempDir()
+	in := "BenchmarkTLBLookup-8  100000  77.35 ns/op\n"
+	a, b := filepath.Join(dir, "a.txt"), filepath.Join(dir, "b.txt")
+	for _, p := range []string{a, b} {
+		if err := os.WriteFile(p, []byte(in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := filepath.Join(dir, "out.json")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestCommandHelper$", "--", "parse", "-o", out, a, b)
+	stdout, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 64 {
+		t.Fatalf("parse a.txt b.txt: err %v, want exit status 64", err)
+	}
+	if len(stdout) != 0 {
+		t.Fatalf("parse a.txt b.txt wrote to stdout: %q", stdout)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("parse a.txt b.txt created %s (stat err %v)", out, err)
 	}
 }

@@ -371,8 +371,10 @@ func TestFreeListMatchesReference(t *testing.T) {
 						r.compact()
 						// Compaction rewrites addresses; refresh the handles.
 						live = live[:0]
-						for a := range h.byAddr {
-							live = append(live, a)
+						for _, b := range h.Blocks() {
+							if !b.Free {
+								live = append(live, b.Addr)
+							}
 						}
 						_ = moves
 					}
@@ -386,10 +388,141 @@ func TestFreeListMatchesReference(t *testing.T) {
 	}
 }
 
+// chunkShape walks the free-list chunks and reports how many there
+// are and how many carry a stale bound (above their largest member).
+func chunkShape(h *Heap) (chunks, stale int) {
+	for b := h.freeHead; b != nil; {
+		c := b.chunk
+		hi := 0
+		for x := c.first; ; x = x.freeNext {
+			hi = max(hi, x.Size)
+			if x == c.last {
+				break
+			}
+		}
+		chunks++
+		if c.max > hi {
+			stale++
+		}
+		b = c.last.freeNext
+	}
+	return chunks, stale
+}
+
+// TestLongChainsMatchReference is the lockstep test in the regime the
+// 4096-word one never reaches: many small requests in a large heap, so
+// the free list (under deferred coalescing especially) runs to many
+// times 2*chunkK blocks. Chunks split, merge and go stale, CoalesceAll
+// and Compact rebuild them. Probes are compared with the full-list
+// reference after every step, the whole state every 100 steps.
+func TestLongChainsMatchReference(t *testing.T) {
+	const steps = 8000
+	policies := []string{"first-fit", "best-fit", "worst-fit", "next-fit", "two-ended", "rice-chain"}
+	for _, pol := range policies {
+		for _, mode := range []Mode{CoalesceImmediate, CoalesceDeferred} {
+			t.Run(fmt.Sprintf("%s/mode=%d", pol, mode), func(t *testing.T) {
+				const heapSize = 1 << 16
+				h := New(heapSize, mkPolicy(pol), mode)
+				r := newRefHeap(heapSize, mode)
+				rng := sim.NewRNG(7)
+				var live []int
+				longest, mostChunks, staleSeen, coalesced := 0, 0, 0, 0
+				filled := false // allocate-heavy until the first failure
+				alloc := func(step, n int) {
+					addr, err := h.Alloc(n)
+					raddr, rok := r.alloc(pol, n)
+					if (err == nil) != rok {
+						t.Fatalf("step %d: alloc(%d) err=%v, reference ok=%v", step, n, err, rok)
+					}
+					if err == nil {
+						if addr != raddr {
+							t.Fatalf("step %d: alloc(%d) = %d, reference %d", step, n, addr, raddr)
+						}
+						live = append(live, addr)
+					}
+					filled = filled || err != nil
+				}
+				for step := 0; step < steps; step++ {
+					allocShare := 500
+					if !filled {
+						allocShare = 800
+					}
+					switch op := rng.Intn(1000); {
+					case op < allocShare:
+						// Mostly small requests, a few large enough to
+						// make the search pass over long runs of holes.
+						n := 1 + rng.Intn(24)
+						if rng.Intn(20) == 0 {
+							n = 40 + rng.Intn(400)
+						}
+						alloc(step, n)
+					case op < allocShare+3:
+						// A burst of tiny requests eats the lowest holes
+						// whole, so the front chunks shrink and merge.
+						for i := 0; i < 200; i++ {
+							alloc(step, 1+rng.Intn(2))
+						}
+					case op < 996:
+						if len(live) == 0 {
+							continue
+						}
+						j := rng.Intn(len(live))
+						addr := live[j]
+						live[j] = live[len(live)-1]
+						live = live[:len(live)-1]
+						if err := h.Free(addr); err != nil {
+							t.Fatalf("step %d: free(%d): %v", step, addr, err)
+						}
+						if !r.freeAddr(addr) {
+							t.Fatalf("step %d: reference missing block %d", step, addr)
+						}
+					case op < 999:
+						got, want := h.CoalesceAll(), r.coalesceAll()
+						if got != want {
+							t.Fatalf("step %d: CoalesceAll %d, reference %d", step, got, want)
+						}
+						coalesced += got
+					default:
+						h.Compact()
+						r.compact()
+						live = live[:0]
+						for _, b := range h.Blocks() {
+							if !b.Free {
+								live = append(live, b.Addr)
+							}
+						}
+					}
+					longest = max(longest, h.FreeBlockCount())
+					if h.probes != r.probes {
+						t.Fatalf("step %d: probes %d, reference %d", step, h.probes, r.probes)
+					}
+					if step%100 == 0 {
+						chunks, stale := chunkShape(h)
+						mostChunks = max(mostChunks, chunks)
+						staleSeen += stale
+						compareState(t, step, h, r)
+					}
+				}
+				compareState(t, steps, h, r)
+				// The policies the chunk walk serves must reach the regime.
+				if mode == CoalesceDeferred && (pol == "first-fit" || pol == "rice-chain") {
+					if longest <= 5*2*chunkK || mostChunks <= 5 || staleSeen == 0 || coalesced == 0 {
+						t.Fatalf("regime not reached: longest free list %d, most chunks %d, stale bounds seen %d, CoalesceAll merges %d",
+							longest, mostChunks, staleSeen, coalesced)
+					}
+				}
+				t.Logf("longest free list %d, most chunks %d, stale bounds seen %d, CoalesceAll merges %d",
+					longest, mostChunks, staleSeen, coalesced)
+			})
+		}
+	}
+}
+
 // TestHeapSteadyStateAllocs pins the allocation behaviour of the
 // rewritten free list: once warm, an alloc/free cycle runs without any
-// heap allocations (the block pool and the byAddr map absorb all
-// churn), so sweeps no longer pay GC for allocator bookkeeping.
+// heap allocations (the block and chunk pools and the block index
+// absorb all churn), so sweeps no longer pay GC for allocator
+// bookkeeping.
 func TestHeapSteadyStateAllocs(t *testing.T) {
 	t.Run("whole-block cycle", func(t *testing.T) {
 		h := New(1024, FirstFit{}, CoalesceImmediate)
@@ -438,6 +571,43 @@ func TestHeapSteadyStateAllocs(t *testing.T) {
 		cycle()
 		if avg := testing.AllocsPerRun(50, cycle); avg > 0 {
 			t.Fatalf("split+coalesce cycle allocates %.1f times per run", avg)
+		}
+	})
+	t.Run("deferred coalesce cycle", func(t *testing.T) {
+		const blocks = 100 // past 2*chunkK, so the free list splits chunks
+		h := New(blocks*128, RiceChain{}, CoalesceDeferred)
+		addrs := make([]int, 0, blocks)
+		cycle := func() {
+			for i := 0; i < blocks; i++ {
+				a, err := h.Alloc(128)
+				if err != nil {
+					t.Fatal(err)
+				}
+				addrs = append(addrs, a)
+			}
+			for _, a := range addrs {
+				if err := h.Free(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			addrs = addrs[:0]
+			// The freed blocks stay apart until this request fails and
+			// CoalesceAll merges them and rebuilds the chunks.
+			a, err := h.Alloc(blocks * 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Free(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle() // warm the block and chunk pools and the index
+		cycle()
+		if avg := testing.AllocsPerRun(50, cycle); avg > 0 {
+			t.Fatalf("deferred alloc/free/coalesce cycle allocates %.1f times per run", avg)
+		}
+		if c := h.Counters(); c.Coalesces == 0 {
+			t.Fatal("cycle never coalesced")
 		}
 	})
 }

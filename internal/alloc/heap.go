@@ -31,6 +31,27 @@
 // it) is byte-identical to the original implementation. The probes
 // counter remains the *model's* cost of a sequential search; the free
 // list is only how the simulator computes it quickly.
+//
+// The free list is cut into chunks: runs of at most 2*chunkK
+// consecutive free blocks, each recording its block count, the sum of
+// gap+1 over its members, and an upper bound on its largest member.
+// The bound is raised when a member grows and left alone when one
+// shrinks or leaves, so it may be stale but never too low; a scan that
+// finds no fit resets it to the exact maximum it saw. First fit (and
+// so the Rice chain and two-ended's small requests) skips a chunk whose
+// bound is below the request, adding the chunk's gap+1 sum to the probe
+// position: every member is too small, so the linear walk would have
+// charged exactly that sum and chosen none of them. Skipping is thus
+// exact however stale the bound, and chunk upkeep is O(1) per change
+// (O(chunkK) when a chunk splits or merges).
+//
+// There is no balanced tree over the free blocks. Free lists are short
+// under immediate coalescing — T2's first fit walks about 15 free
+// blocks per search — and long only under deferred coalescing, where
+// the Rice chain walks up to 375. An address-ordered treap augmented
+// with subtree maxima and gap sums gave the same exact probes but made
+// every T2 cell 1.8× slower: its upkeep costs more than a 15-block walk
+// saves.
 package alloc
 
 import (
@@ -92,6 +113,22 @@ type Block struct {
 	// block (or the list head) and this block. Meaningful only while
 	// the block is on the free list.
 	gap int
+	// chunk is the free-list chunk holding this block while it is free.
+	chunk *chunk
+}
+
+// chunkK sizes the free-list chunks: a chunk splits above 2*chunkK
+// blocks, merges into its successor below chunkK/2, and a rebuild
+// fills chunks of chunkK.
+const chunkK = 32
+
+// chunk summarizes a run of consecutive free-list blocks, first..last
+// (see the package comment).
+type chunk struct {
+	first, last *Block
+	n           int // member count
+	cnt         int // sum of gap+1 over the members
+	max         int // upper bound on the largest member's size
 }
 
 // Heap is a variable-unit storage allocator over [0, size) words.
@@ -101,7 +138,7 @@ type Heap struct {
 	mode   Mode
 	head   *Block
 	tail   *Block
-	byAddr map[int]*Block // allocated blocks by base address
+	byAddr blockIndex // allocated blocks by base address
 
 	// Free-list index: the free blocks in address order, plus the
 	// counters that keep probe accounting exact (see package comment).
@@ -111,9 +148,10 @@ type Heap struct {
 	blocks    int // total blocks on the full list
 	tailGap   int // allocated blocks after the last free block
 
-	// pool recycles Block nodes (linked through next) so steady-state
-	// alloc/free traffic does not allocate.
-	pool *Block
+	// pool recycles Block nodes (linked through next), and spareChunks
+	// chunk nodes, so steady-state alloc/free traffic does not allocate.
+	pool        *Block
+	spareChunks []*chunk
 
 	// Compact scratch, reused across calls (see Compact's contract).
 	moveScratch  []Move
@@ -146,7 +184,6 @@ func New(size int, policy Policy, mode Mode) *Heap {
 		size:        size,
 		policy:      policy,
 		mode:        mode,
-		byAddr:      make(map[int]*Block),
 		MinFragment: 1,
 	}
 	h.head = &Block{Addr: 0, Size: size, Free: true}
@@ -155,6 +192,7 @@ func New(size int, policy Policy, mode Mode) *Heap {
 	h.freeTail = h.head
 	h.freeCount = 1
 	h.blocks = 1
+	h.buildChunks()
 	return h
 }
 
@@ -179,6 +217,138 @@ func (h *Heap) newBlock(addr, size int, free bool) *Block {
 func (h *Heap) releaseBlock(b *Block) {
 	*b = Block{next: h.pool}
 	h.pool = b
+}
+
+// newChunk takes an empty chunk node from the pool, or allocates one.
+func (h *Heap) newChunk() *chunk {
+	if k := len(h.spareChunks); k > 0 {
+		c := h.spareChunks[k-1]
+		h.spareChunks = h.spareChunks[:k-1]
+		return c
+	}
+	return &chunk{}
+}
+
+// releaseChunk returns a chunk that no block references to the pool.
+func (h *Heap) releaseChunk(c *chunk) {
+	*c = chunk{}
+	h.spareChunks = append(h.spareChunks, c)
+}
+
+// addGap adds delta to free block b's gap, keeping its chunk's sum.
+func addGap(b *Block, delta int) {
+	b.gap += delta
+	b.chunk.cnt += delta
+}
+
+// grew raises the bound of free block b's chunk after b grew.
+func grew(b *Block) {
+	if c := b.chunk; b.Size > c.max {
+		c.max = b.Size
+	}
+}
+
+// chunkJoin adds b, already linked into the free list with its gap
+// set, to the chunk of a free-list neighbour (or a new chunk when b is
+// the only free block), splitting that chunk if it grows too long.
+func (h *Heap) chunkJoin(b *Block) {
+	var c *chunk
+	if p := b.freePrev; p != nil {
+		c = p.chunk
+		if c.last == p {
+			c.last = b
+		}
+	} else if nx := b.freeNext; nx != nil {
+		c = nx.chunk
+		c.first = b
+	} else {
+		c = h.newChunk()
+		c.first, c.last = b, b
+	}
+	b.chunk = c
+	c.n++
+	c.cnt += b.gap + 1
+	grew(b)
+	if c.n > 2*chunkK {
+		h.chunkSplit(c)
+	}
+}
+
+// chunkSplit moves the upper half of c into a new chunk, recomputing
+// both halves' sums and exact maxima.
+func (h *Heap) chunkSplit(c *chunk) {
+	keep := c.n / 2
+	b := c.first
+	cnt, hi := 0, 0
+	for i := 0; ; i++ {
+		cnt += b.gap + 1
+		hi = max(hi, b.Size)
+		if i == keep-1 {
+			break
+		}
+		b = b.freeNext
+	}
+	d := h.newChunk()
+	d.first, d.last = b.freeNext, c.last
+	d.n, d.cnt = c.n-keep, c.cnt-cnt
+	c.last, c.n, c.cnt, c.max = b, keep, cnt, hi
+	for b = d.first; ; b = b.freeNext {
+		b.chunk = d
+		d.max = max(d.max, b.Size)
+		if b == d.last {
+			break
+		}
+	}
+}
+
+// chunkMerge folds the short chunk c into the chunk after it, if any.
+func (h *Heap) chunkMerge(c *chunk) {
+	nx := c.last.freeNext
+	if nx == nil {
+		return
+	}
+	d := nx.chunk
+	for b := c.first; ; b = b.freeNext {
+		b.chunk = d
+		if b == c.last {
+			break
+		}
+	}
+	d.first = c.first
+	d.n += c.n
+	d.cnt += c.cnt
+	d.max = max(d.max, c.max)
+	h.releaseChunk(c)
+	if d.n > 2*chunkK {
+		h.chunkSplit(d)
+	}
+}
+
+// dropChunks releases every chunk; the free blocks keep stale chunk
+// pointers until buildChunks runs.
+func (h *Heap) dropChunks() {
+	for b := h.freeHead; b != nil; {
+		c := b.chunk
+		b = c.last.freeNext
+		h.releaseChunk(c)
+	}
+}
+
+// buildChunks cuts the free list into chunks of chunkK blocks with
+// exact sums and maxima.
+func (h *Heap) buildChunks() {
+	var c *chunk
+	for b := h.freeHead; b != nil; b = b.freeNext {
+		if c == nil || c.n == chunkK {
+			c = h.newChunk()
+			c.first = b
+		}
+		b.chunk = c
+		c.last = b
+		c.n++
+		c.cnt += b.gap + 1
+		c.max = max(c.max, b.Size)
+	}
 }
 
 // Alloc allocates n words and returns the base address. On failure
@@ -210,7 +380,7 @@ func (h *Heap) Alloc(n int) (int, error) {
 	got := h.carve(b, n, carveHigh)
 	got.Free = false
 	got.Requested = n
-	h.byAddr[got.Addr] = got
+	h.byAddr.insert(got)
 	h.allocs++
 	h.requested += n
 	h.allocated += got.Size
@@ -244,9 +414,19 @@ func (h *Heap) carve(b *Block, n int, carveHigh bool) *Block {
 	b.Size = n
 	h.insertAfter(b, nb)
 	h.blocks++
-	// The remainder takes b's place on the free list; b itself becomes
-	// one more allocated block in the remainder's gap run.
+	// The remainder takes b's place on the free list and in its chunk;
+	// b itself becomes one more allocated block in the remainder's gap
+	// run. The chunk's bound stays valid: nb is smaller than b was.
+	c := b.chunk
 	nb.gap = b.gap + 1
+	c.cnt++
+	nb.chunk = c
+	if c.first == b {
+		c.first = nb
+	}
+	if c.last == b {
+		c.last = nb
+	}
 	nb.freePrev = b.freePrev
 	nb.freeNext = b.freeNext
 	if nb.freePrev != nil {
@@ -259,7 +439,7 @@ func (h *Heap) carve(b *Block, n int, carveHigh bool) *Block {
 	} else {
 		h.freeTail = nb
 	}
-	b.freePrev, b.freeNext, b.gap = nil, nil, 0
+	b.freePrev, b.freeNext, b.gap, b.chunk = nil, nil, 0, nil
 	return b
 }
 
@@ -267,33 +447,46 @@ func (h *Heap) carve(b *Block, n int, carveHigh bool) *Block {
 // block b: to the next free block's gap, or to the tail gap.
 func (h *Heap) bumpNextGap(b *Block, delta int) {
 	if b.freeNext != nil {
-		b.freeNext.gap += delta
+		addGap(b.freeNext, delta)
 	} else {
 		h.tailGap += delta
 	}
 }
 
-// freeRemove unlinks free block b from the free list, crediting
-// gapCarry allocated blocks to the following gap run: b.gap+1 when b
-// itself becomes allocated, b.gap when b is merged away entirely.
+// freeRemove unlinks free block b from the free list and its chunk,
+// crediting gapCarry allocated blocks to the following gap run: b.gap+1
+// when b itself becomes allocated, b.gap when b is merged away
+// entirely. A chunk left empty is released; one left short is merged
+// into its successor. The chunk's bound stays valid without b.
 func (h *Heap) freeRemove(b *Block, gapCarry int) {
-	if b.freeNext != nil {
-		b.freeNext.gap += gapCarry
+	h.bumpNextGap(b, gapCarry)
+	prev, next := b.freePrev, b.freeNext
+	if prev != nil {
+		prev.freeNext = next
 	} else {
-		h.tailGap += gapCarry
+		h.freeHead = next
 	}
-	if b.freePrev != nil {
-		b.freePrev.freeNext = b.freeNext
+	if next != nil {
+		next.freePrev = prev
 	} else {
-		h.freeHead = b.freeNext
+		h.freeTail = prev
 	}
-	if b.freeNext != nil {
-		b.freeNext.freePrev = b.freePrev
-	} else {
-		h.freeTail = b.freePrev
+	c := b.chunk
+	c.n--
+	c.cnt -= b.gap + 1
+	switch {
+	case c.n == 0:
+		h.releaseChunk(c)
+	case c.first == b:
+		c.first = next
+	case c.last == b:
+		c.last = prev
 	}
-	b.freePrev, b.freeNext, b.gap = nil, nil, 0
+	b.freePrev, b.freeNext, b.gap, b.chunk = nil, nil, 0, nil
 	h.freeCount--
+	if c.n > 0 && c.n < chunkK/2 {
+		h.chunkMerge(c)
+	}
 }
 
 func (h *Heap) insertAfter(b, nb *Block) {
@@ -324,11 +517,10 @@ func (h *Heap) unlinkFull(b *Block) {
 
 // Free releases the block based at addr.
 func (h *Heap) Free(addr int) error {
-	b, ok := h.byAddr[addr]
-	if !ok {
+	b := h.byAddr.remove(addr)
+	if b == nil {
 		return fmt.Errorf("%w: address %d", ErrBadFree, addr)
 	}
-	delete(h.byAddr, addr)
 	h.frees++
 	h.requested -= b.Requested
 	h.allocated -= b.Size
@@ -356,7 +548,7 @@ func (h *Heap) freeInsert(b *Block) {
 				// Found the successor first: its gap covered b and both
 				// runs; split it around b.
 				b.gap = fwd.gap - k2 - 1
-				fwd.gap = k2
+				addGap(fwd, k2-fwd.gap)
 				b.freeNext = fwd
 				b.freePrev = fwd.freePrev
 				fwd.freePrev = b
@@ -366,6 +558,7 @@ func (h *Heap) freeInsert(b *Block) {
 					h.freeHead = b
 				}
 				h.freeCount++
+				h.chunkJoin(b)
 				return
 			}
 			k2++
@@ -386,6 +579,7 @@ func (h *Heap) freeInsert(b *Block) {
 					h.freeTail = b
 				}
 				h.freeCount++
+				h.chunkJoin(b)
 				return
 			}
 			k1++
@@ -399,6 +593,7 @@ func (h *Heap) freeInsert(b *Block) {
 			b.freePrev, b.freeNext = nil, nil
 			h.freeHead, h.freeTail = b, b
 			h.freeCount = 1
+			h.chunkJoin(b)
 			return
 		}
 	}
@@ -408,6 +603,7 @@ func (h *Heap) freeInsert(b *Block) {
 func (h *Heap) coalesceAround(b *Block) {
 	if p := b.prev; p != nil && p.Free {
 		p.Size += b.Size
+		grew(p)
 		h.unlinkFull(b)
 		h.freeRemove(b, b.gap) // b merges away; its gap run (0) carries over
 		h.releaseBlock(b)
@@ -416,6 +612,7 @@ func (h *Heap) coalesceAround(b *Block) {
 	}
 	if n := b.next; n != nil && n.Free {
 		b.Size += n.Size
+		grew(b)
 		h.unlinkFull(n)
 		h.freeRemove(n, n.gap)
 		h.releaseBlock(n)
@@ -426,7 +623,7 @@ func (h *Heap) coalesceAround(b *Block) {
 // CoalesceAll merges every run of adjacent free blocks and reports the
 // number of merges performed. Adjacent free blocks are exactly the
 // free-list neighbours with a zero gap between them, so only the free
-// list is walked.
+// list is walked. The chunks are rebuilt afterwards, with exact bounds.
 func (h *Heap) CoalesceAll() int {
 	merges := 0
 	for b := h.freeHead; b != nil; b = b.freeNext {
@@ -435,14 +632,26 @@ func (h *Heap) CoalesceAll() int {
 			if n == nil || n.gap != 0 {
 				break
 			}
+			if merges == 0 {
+				h.dropChunks()
+			}
 			// gap 0 means no allocated block separates them, so n is
 			// b's immediate neighbour on the full list too.
 			b.Size += n.Size
 			h.unlinkFull(n)
-			h.freeRemove(n, 0)
+			b.freeNext = n.freeNext
+			if b.freeNext != nil {
+				b.freeNext.freePrev = b
+			} else {
+				h.freeTail = b
+			}
+			h.freeCount--
 			h.releaseBlock(n)
 			merges++
 		}
+	}
+	if merges > 0 {
+		h.buildChunks()
 	}
 	h.coalesces += int64(merges)
 	return merges
@@ -463,6 +672,7 @@ type Move struct {
 // is only possible because access is via the heap's handles; the paper
 // makes the same point about stored absolute addresses.
 func (h *Heap) Compact() []Move {
+	h.dropChunks()
 	moves := h.moveScratch[:0]
 	next := 0
 	newOrder := h.orderScratch[:0]
@@ -477,9 +687,7 @@ func (h *Heap) Compact() []Move {
 		}
 		if b.Addr != next {
 			moves = append(moves, Move{Src: b.Addr, Dst: next, Words: b.Size})
-			delete(h.byAddr, b.Addr)
 			b.Addr = next
-			h.byAddr[b.Addr] = b
 		}
 		next += b.Size
 		newOrder = append(newOrder, b)
@@ -497,7 +705,7 @@ func (h *Heap) Compact() []Move {
 	link := func(b *Block) {
 		b.prev = tailb
 		b.next = nil
-		b.freePrev, b.freeNext, b.gap = nil, nil, 0
+		b.freePrev, b.freeNext, b.gap, b.chunk = nil, nil, 0, nil
 		if tailb != nil {
 			tailb.next = b
 		} else {
@@ -505,8 +713,10 @@ func (h *Heap) Compact() []Move {
 		}
 		tailb = b
 	}
+	h.byAddr.clear()
 	for _, b := range newOrder {
 		link(b)
+		h.byAddr.insert(b)
 	}
 	h.blocks = len(newOrder)
 	h.freeHead, h.freeTail = nil, nil
@@ -522,6 +732,7 @@ func (h *Heap) Compact() []Move {
 		h.tailGap = len(newOrder)
 	}
 	h.tail = tailb
+	h.buildChunks()
 	h.moveScratch = moves
 	h.orderScratch = newOrder[:0]
 	return moves
@@ -530,13 +741,28 @@ func (h *Heap) Compact() []Move {
 // FreeWords reports the total free words.
 func (h *Heap) FreeWords() int { return h.size - h.allocated }
 
-// LargestFree reports the size of the largest free block.
+// LargestFree reports the size of the largest free block. Chunks
+// whose bound cannot beat the largest seen so far are skipped; a
+// scanned chunk's bound becomes exact.
 func (h *Heap) LargestFree() int {
 	best := 0
-	for b := h.freeHead; b != nil; b = b.freeNext {
-		if b.Size > best {
-			best = b.Size
+	for b := h.freeHead; b != nil; {
+		c := b.chunk
+		if c.max <= best {
+			b = c.last.freeNext
+			continue
 		}
+		seen := 0
+		for {
+			seen = max(seen, b.Size)
+			if b == c.last {
+				break
+			}
+			b = b.freeNext
+		}
+		c.max = seen
+		best = max(best, seen)
+		b = b.freeNext
 	}
 	return best
 }
@@ -572,7 +798,7 @@ func (h *Heap) Counters() Counters {
 // Blocks returns a snapshot of the block list in address order, for
 // reports and tests.
 func (h *Heap) Blocks() []Block {
-	var out []Block
+	out := make([]Block, 0, h.blocks)
 	for b := h.head; b != nil; b = b.next {
 		out = append(out, *b)
 	}
@@ -619,7 +845,7 @@ func (h *Heap) CheckInvariants() error {
 		} else {
 			gapRun++
 			allocated += b.Size
-			if h.byAddr[b.Addr] != b {
+			if h.byAddr.get(b.Addr) != b {
 				return fmt.Errorf("alloc: allocated block %d missing from index", b.Addr)
 			}
 		}
@@ -659,8 +885,147 @@ func (h *Heap) CheckInvariants() error {
 	if allocated != h.allocated {
 		return fmt.Errorf("alloc: allocated accounting %d, actual %d", h.allocated, allocated)
 	}
-	if len(h.byAddr) != int(h.allocs-h.frees) {
-		return fmt.Errorf("alloc: index size %d, allocs-frees %d", len(h.byAddr), h.allocs-h.frees)
+	if h.byAddr.n != int(h.allocs-h.frees) {
+		return fmt.Errorf("alloc: index size %d, allocs-frees %d", h.byAddr.n, h.allocs-h.frees)
+	}
+	return h.checkChunks()
+}
+
+// checkChunks verifies that the chunks tile the free list in order,
+// that each one's ends, count and gap sum are exact, that its bound is
+// at least each member's size, and that chunk lengths stay within
+// [chunkK/2, 2*chunkK] (the last chunk may be shorter).
+func (h *Heap) checkChunks() error {
+	for b := h.freeHead; b != nil; {
+		c := b.chunk
+		if c == nil || c.first != b {
+			return fmt.Errorf("alloc: free block %d does not start its chunk", b.Addr)
+		}
+		n, cnt := 0, 0
+		for {
+			if b.chunk != c {
+				return fmt.Errorf("alloc: free block %d in the wrong chunk", b.Addr)
+			}
+			n++
+			cnt += b.gap + 1
+			if b.Size > c.max {
+				return fmt.Errorf("alloc: free block %d size %d above its chunk bound %d", b.Addr, b.Size, c.max)
+			}
+			if b == c.last {
+				break
+			}
+			if b = b.freeNext; b == nil {
+				return fmt.Errorf("alloc: chunk last block not on the free list")
+			}
+		}
+		if n != c.n || cnt != c.cnt {
+			return fmt.Errorf("alloc: chunk at %d has n=%d cnt=%d, actual %d, %d", c.first.Addr, c.n, c.cnt, n, cnt)
+		}
+		b = b.freeNext
+		if n > 2*chunkK || (b != nil && n < chunkK/2) {
+			return fmt.Errorf("alloc: chunk at %d holds %d blocks", c.first.Addr, n)
+		}
 	}
 	return nil
+}
+
+// blockIndex maps the base addresses of allocated blocks to their
+// nodes: an open-addressed table with linear probing, backward-shift
+// deletion and doubling at load 1/2, so it holds O(live blocks) slots,
+// never O(heap words). The key is read from the stored block, so a
+// block's Addr must not change while it is indexed.
+type blockIndex struct {
+	slots []*Block // nil = empty; len is a power of two or zero
+	n     int
+	shift uint // 64 - log2(len(slots))
+}
+
+// home is addr's preferred slot (Fibonacci hashing).
+func (t *blockIndex) home(addr int) int {
+	return int(uint64(addr) * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+// slot returns the index of the slot holding addr's block, or -1.
+func (t *blockIndex) slot(addr int) int {
+	if t.n == 0 {
+		return -1
+	}
+	mask := len(t.slots) - 1
+	for i := t.home(addr); ; i = (i + 1) & mask {
+		switch b := t.slots[i]; {
+		case b == nil:
+			return -1
+		case b.Addr == addr:
+			return i
+		}
+	}
+}
+
+// get returns the block based at addr, or nil.
+func (t *blockIndex) get(addr int) *Block {
+	if i := t.slot(addr); i >= 0 {
+		return t.slots[i]
+	}
+	return nil
+}
+
+// insert adds b, whose address is not yet indexed.
+func (t *blockIndex) insert(b *Block) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := len(t.slots) - 1
+	i := t.home(b.Addr)
+	for t.slots[i] != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = b
+	t.n++
+}
+
+// grow doubles the table (16 slots at first) and rehashes.
+func (t *blockIndex) grow() {
+	old := t.slots
+	size := max(16, 2*len(old))
+	t.slots = make([]*Block, size)
+	t.shift = 64
+	for s := size; s > 1; s >>= 1 {
+		t.shift--
+	}
+	t.n = 0
+	for _, b := range old {
+		if b != nil {
+			t.insert(b)
+		}
+	}
+}
+
+// remove deletes and returns the block based at addr, or returns nil.
+// Later entries of the probe run shift back into the hole, so lookups
+// never need tombstones.
+func (t *blockIndex) remove(addr int) *Block {
+	i := t.slot(addr)
+	if i < 0 {
+		return nil
+	}
+	mask := len(t.slots) - 1
+	found := t.slots[i]
+	for j := (i + 1) & mask; t.slots[j] != nil; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		k := t.home(t.slots[j].Addr)
+		if (i < j && (k <= i || k > j)) || (j < i && k <= i && k > j) {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = nil
+	t.n--
+	return found
+}
+
+// clear empties the table, keeping its slots.
+func (t *blockIndex) clear() {
+	clear(t.slots)
+	t.n = 0
 }

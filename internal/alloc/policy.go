@@ -30,15 +30,33 @@ func (FirstFit) Name() string { return "first-fit" }
 
 // Choose implements Policy. A full-list first-fit scan probes every
 // block up to and including the first sufficient free one; on failure
-// it probes the whole list.
+// it probes the whole list. Chunks whose bound is below n are skipped
+// whole, charging the probes their blocks would have cost; a chunk
+// scanned without a fit has its bound tightened to its exact maximum.
 func (FirstFit) Choose(h *Heap, n int) (*Block, bool) {
 	pos := int64(0)
-	for b := h.freeHead; b != nil; b = b.freeNext {
-		pos += int64(b.gap) + 1
-		if b.Size >= n {
-			h.probes += pos
-			return b, false
+	for b := h.freeHead; b != nil; {
+		c := b.chunk
+		if c.max < n {
+			pos += int64(c.cnt)
+			b = c.last.freeNext
+			continue
 		}
+		seen := 0
+		for {
+			pos += int64(b.gap) + 1
+			if b.Size >= n {
+				h.probes += pos
+				return b, false
+			}
+			seen = max(seen, b.Size)
+			if b == c.last {
+				break
+			}
+			b = b.freeNext
+		}
+		c.max = seen
+		b = b.freeNext
 	}
 	h.probes += int64(h.blocks)
 	return nil, false
